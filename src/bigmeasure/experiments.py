@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .classifier import classify
-from .errors import HypothesisViolated, ParseError, ValidationError
+from .errors import HypothesisViolated, NotAdmissible, ParseError, ValidationError
 from .kernels import KernelModel
 from .measures import (
     AnnulusSeries,
@@ -29,9 +29,9 @@ from .measures import (
     PowerWeight,
     Seq,
     SphereSeries,
-    admissibility_check,
     default_smoothing_eps,
     describe,
+    require_admissible,
 )
 from .potentials import potential_decay_check, riesz_potential
 from .simulate import (
@@ -205,8 +205,11 @@ def _measure_from_spec(spec: dict):
     if family == "annulus_series":
         if "p" in spec:
             return AnnulusSeries.parametric(p=float(spec["p"]), q=float(spec["q"]), r=float(spec["r"]))
-        growth = _seq_from_spec(spec["growth"], [], "growth")
-        gap = _seq_from_spec(spec["gap"], [], "gap")
+        errors = []
+        growth = _seq_from_spec(spec["growth"], errors, "growth")
+        gap = _seq_from_spec(spec["gap"], errors, "gap")
+        if errors:
+            raise ValueError("; ".join(errors))
         return AnnulusSeries(growth=growth, gap=gap, r=float(spec["r"]))
     if family == "sphere_series":
         if "p" in spec:
@@ -253,10 +256,10 @@ def _validate_measure(obj, errors):
         errors.append(f"measure: {e}")
         return
     if isinstance(mu, AnnulusSeries):
-        adm = admissibility_check(mu.growth, mu.gap)
-        if not adm:
-            errors.append(f"measure: annulus windows not admissible: {adm.reason}")
-    return
+        try:
+            require_admissible(mu)
+        except NotAdmissible as e:
+            errors.append(f"measure: {e}")
 
 
 def _process_for(spec: Optional[dict], alpha: float, dim: int):
@@ -476,16 +479,15 @@ def _fmt(v) -> str:
     if isinstance(v, bool):
         return str(v)
     if isinstance(v, float):
-        return repr(v)
+        # float() first: numpy >= 2 reprs np.float64 as "np.float64(x)"
+        return repr(float(v))
     return str(v)
 
 
 def _fmt_point(x) -> str:
     if x is None:
         return ""
-    if len(x) == 1:
-        return repr(x[0])
-    return ";".join(repr(c) for c in x)
+    return ";".join(repr(float(c)) for c in x)
 
 
 def _header(cfg: ExperimentConfig, extra=()) -> list:
@@ -682,7 +684,7 @@ def _run_identity(cfg: ExperimentConfig, threads: int) -> RunResult:
         ("combined_stderr", res["combined_stderr"]),
         ("z", res["z"]),
         ("tolerance", "3 combined stderr"),
-        ("table_radii", ";".join(repr(v) for v in res["table_radii"])),
+        ("table_radii", ";".join(repr(float(v)) for v in res["table_radii"])),
         ("table_values", ";".join(repr(float(v)) for v in res["table_values"])),
     ]
     return RunResult(_report(cfg, "verify-identity", items, passed), passed)

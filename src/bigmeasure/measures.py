@@ -163,6 +163,13 @@ class AnnulusSeries:
         f = self.growth(n)
         return f, f * (1.0 + self.gap(n))
 
+    def series_exponent(self, alpha: float) -> Optional[float]:
+        """Exponent e with f(n)^(alpha-r) h(n) ~ n^e, None when tails are unknown."""
+        tp, th = self.growth.tail_power(), self.gap.tail_power()
+        if tp is None or th is None:
+            return None
+        return tp * (alpha - self.r) + th
+
 
 @dataclass(frozen=True)
 class SphereSeries:
@@ -224,6 +231,28 @@ class AdmissibilityResult:
         return self.ok
 
 
+def _window_overlaps(growth: Seq, gap: Seq, n: np.ndarray) -> np.ndarray:
+    """b_n > a_{n+1} for parametric windows; touching (b_n = a_{n+1}) is allowed."""
+    return growth(n) * (1.0 + gap(n)) > growth(n + 1) * (1.0 + 1e-12)
+
+
+def _parametric_first_violation(growth: Seq, gap: Seq, n_max: int) -> Optional[int]:
+    """First n < n_max with b_n > a_{n+1}, settled in O(1) where provable.
+
+    n = 1 overlaps for every p < 1 (b_1 = 2 > 2^p = a_2). For p >= 1 and
+    q >= 1 no n does: b_n = n^p (1 + n^-q) <= n^p (1 + 1/n) <= (n+1)^p.
+    Only the remaining pairs (q < 1) need the scan.
+    """
+    if n_max < 2:
+        return None
+    if _window_overlaps(growth, gap, np.ones(1))[0]:
+        return 1
+    if growth.exponent >= 1.0 and -gap.exponent >= 1.0:
+        return None
+    hits = np.nonzero(_window_overlaps(growth, gap, np.arange(1, n_max, dtype=float)))[0]
+    return int(hits[0]) + 1 if hits.size else None
+
+
 def admissibility_check(growth: Seq, gap: Seq, n_max: int = 100_000) -> AdmissibilityResult:
     """Do the annuli stay increasing and disjoint (b_n <= a_{n+1})?
 
@@ -236,11 +265,7 @@ def admissibility_check(growth: Seq, gap: Seq, n_max: int = 100_000) -> Admissib
     if growth.is_parametric and gap.is_parametric:
         p, q = growth.exponent, -gap.exponent
         ok = q > 1.0 or (q == 1.0 and p >= 1.0)
-        n = np.arange(1, n_max, dtype=float)
-        # touching windows (b_n = a_{n+1}) are allowed; tolerate roundoff
-        bad = growth(n) * (1.0 + gap(n)) > growth(n + 1) * (1.0 + 1e-12)
-        hits = np.nonzero(bad)[0]
-        first = int(hits[0]) + 1 if hits.size else None
+        first = _parametric_first_violation(growth, gap, n_max)
         return AdmissibilityResult(ok, first, n_max, "analytic")
 
     limit = n_max
@@ -269,10 +294,12 @@ def admissibility_check(growth: Seq, gap: Seq, n_max: int = 100_000) -> Admissib
 def require_admissible(mu: AnnulusSeries, n_max: int = 100_000) -> None:
     res = admissibility_check(mu.growth, mu.gap, n_max)
     if not res.ok:
-        raise NotAdmissible(
-            f"annulus windows overlap (first violation at n={res.first_violation}, "
-            f"mode={res.mode})"
+        where = (
+            f"first violation at n={res.first_violation}"
+            if res.first_violation is not None
+            else f"eventually, none up to n={res.checked_to}"
         )
+        raise NotAdmissible(f"annulus windows overlap ({where}, mode={res.mode})")
 
 
 # ---------------------------------------------------------------------------

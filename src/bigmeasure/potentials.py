@@ -223,13 +223,6 @@ def _real_index(seq: Seq, rho: float) -> float:
     return seq.table_len * (rho / float(vals[-1])) ** (1.0 / seq.tail_exponent)
 
 
-def _series_exponent_annulus(mu: AnnulusSeries, alpha: float) -> Optional[float]:
-    tp, th = mu.growth.tail_power(), mu.gap.tail_power()
-    if tp is None or th is None:
-        return None
-    return tp * (alpha - mu.r) + th
-
-
 def _series_exponent_sphere(mu: SphereSeries, alpha: float) -> Optional[float]:
     tp = mu.radii.tail_power()
     return None if tp is None else tp * (alpha - 1.0 - mu.r)
@@ -372,7 +365,7 @@ def _window_series_potential(mu, rho, model, gfun, g_tail, g_top, tol):
     value, err, _ = _interval_batch(a, w, rho, integrand, tol)
     compact = value
     terms = head_n
-    exponent = _series_exponent_annulus(mu, alpha)
+    exponent = mu.series_exponent(alpha)
     witness = {"tail_exponent": exponent, "threshold": -1.0}
 
     if hard_cap is not None:
@@ -554,7 +547,7 @@ def _bare_divergent(mu: MeasureSpec, alpha: float) -> bool:
     if isinstance(mu, PowerWeight):
         return alpha + mu.p >= 0.0
     if isinstance(mu, AnnulusSeries):
-        e = _series_exponent_annulus(mu, alpha)
+        e = mu.series_exponent(alpha)
         return e is not None and e >= -1.0
     if isinstance(mu, SphereSeries):
         e = _series_exponent_sphere(mu, alpha)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bigmeasure.classifier import (
@@ -255,3 +256,44 @@ def test_partial_sums_reflect_the_series():
     small = classify_annulus(AnnulusSeries.parametric(p=0.5, q=3.0, r=0.0), 1.5, 3)
     s_small = small.witness["partial_sums"]
     assert s_small["1000000"] < s_small["1000"] + 1e-3
+
+
+def _fsum_marks(mu, alpha, upto):
+    """Correctly rounded partial sums of f(n)^(alpha-r) h(n) at the decade marks."""
+    n = np.arange(1, upto + 1, dtype=float)
+    terms = (mu.growth(n) ** (alpha - mu.r) * mu.gap(n)).tolist()
+    return {str(m): math.fsum(terms[:m]) for m in (10, 100, 1000, 10_000, 100_000, 1_000_000) if m <= upto}
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        # alpha = 1.5, p = 1, r = 0: term exponent 1.5 - q
+        AnnulusSeries.parametric(p=1.0, q=2.5, r=0.0),  # e = -1
+        AnnulusSeries.parametric(p=1.0, q=2.5 - 1e-6, r=0.0),  # e = -1 + 1e-6
+        AnnulusSeries.parametric(p=1.0, q=2.5 + 1e-6, r=0.0),  # e = -1 - 1e-6
+        AnnulusSeries.parametric(p=1.0, q=4.5, r=0.0),  # convergent, e = -3
+        AnnulusSeries.parametric(p=2.0, q=1.25, r=0.5),  # divergent, e = 0.75
+        # tables longer than the direct head, continued by tail rules
+        AnnulusSeries(
+            growth=Seq.table([n**2.0 for n in range(1, 1501)], tail_exponent=2.0),
+            gap=Seq.table([n**-1.5 for n in range(1, 1201)], tail_exponent=-1.5),
+            r=1.0,
+        ),
+    ],
+)
+def test_witness_marks_match_exact_sums(mu):
+    w = classify_annulus(mu, alpha=1.5, dim=3).witness
+    want = _fsum_marks(mu, 1.5, 1_000_000)
+    assert w["terms_summed"] == 1_000_000
+    assert w["partial_sums"].keys() == want.keys()
+    for m, ref in want.items():
+        assert abs(w["partial_sums"][m] - ref) <= 1e-12 * abs(ref), m
+
+
+def test_witness_cost_does_not_grow_with_n_terms():
+    mu = AnnulusSeries.parametric(p=1.0, q=2.0, r=0.0)
+    v = classify_annulus(mu, alpha=1.5, dim=3, n_terms=10**12)
+    assert v.witness["terms_summed"] == 10**12
+    assert set(v.witness["partial_sums"]) == {"10", "100", "1000", "10000", "100000", "1000000"}
+    assert v.is_big

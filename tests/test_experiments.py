@@ -327,3 +327,40 @@ def test_cli_sweep_writes_report(tmp_path, capsys):
     assert out.exists()
     report = tmp_path / "sweep.csv.report.txt"
     assert "threshold" in report.read_text()
+
+
+def test_cli_overlapping_parametric_windows_exit_two(tmp_path, capsys):
+    path = _write(tmp_path, "c.json", {"task": "classify", "alpha": 1.5, "dim": 3,
+                                       "measure": {"family": "annulus_series",
+                                                   "p": 1, "q": 0.5, "r": 0}})
+    assert run_cli(["classify", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "annulus windows overlap (first violation at n=2, mode=analytic)" in err
+
+
+def test_cli_malformed_sequence_exit_two(tmp_path, capsys):
+    measure = {"family": "annulus_series", "growth": {"exponent": "x"},
+               "gap": {"table": [0.5, "y"]}, "r": 0.0}
+    path = _write(tmp_path, "c.json", {"task": "classify", "alpha": 1.5, "dim": 3,
+                                       "measure": measure})
+    assert run_cli(["classify", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "measure: growth:" in err and "gap:" in err
+
+
+def test_numbers_are_written_as_plain_floats():
+    # numpy scalars must print as their shortest round-trip float, not np.float64(x)
+    pot = run_task(validate_config({"task": "potential", "alpha": 2.0, "dim": 3,
+                                    "measure": {"family": "power_weight", "p": -4.0},
+                                    "radii": [0.5, 1.0]}))
+    fields = [row[k] for row in _rows(pot.text) for k in ("x", "value", "abs_error", "compact_part")]
+    ver = run_task(validate_config({"task": "verify-identity", "alpha": 2.0, "dim": 3,
+                                    "measure": {"family": "boundary_power", "r": 0.5},
+                                    "coupling": 0.1, "x": [0.0, 0.0, 0.0], "horizon": 1.0,
+                                    "n_paths": 8, "dt": 0.05, "table_paths": 2, "seed": 3}))
+    items = dict(line.split("=", 1) for line in ver.text.splitlines() if not line.startswith("#"))
+    for key in ("lhs", "rhs", "ghat", "ghat_stderr", "potential_term", "combined_stderr", "z"):
+        fields.append(items[key])
+    fields += items["table_radii"].split(";") + items["table_values"].split(";")
+    for field in fields:
+        float(field)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from bigmeasure.errors import NotAdmissible, ShellOverlap, SingularMeasure
 from bigmeasure.measures import (
+    AdmissibilityResult,
     AnnulusSeries,
     BoundaryPower,
     PowerWeight,
@@ -75,6 +78,26 @@ def test_admissibility_direct_scan():
     assert res.ok and res.first_violation == 1
     n = np.arange(20, 100_000, dtype=float)
     assert np.all(n**0.5 * (1 + n**-1.5) <= (n + 1) ** 0.5)
+
+
+_EXPONENTS = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.floats(0.05, 4.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_EXPONENTS, q=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 4.0)))
+def test_admissibility_parametric_matches_direct_scan(p, q):
+    # the analytic shortcuts must reproduce the full scan over n < n_max
+    n_max = 100_000
+    n = np.arange(1, n_max, dtype=float)
+    bad = n**p * (1.0 + n**-q) > (n + 1.0) ** p * (1.0 + 1e-12)
+    hits = np.nonzero(bad)[0]
+    want = AdmissibilityResult(
+        ok=q > 1.0 or (q == 1.0 and p >= 1.0),
+        first_violation=int(hits[0]) + 1 if hits.size else None,
+        checked_to=n_max,
+        mode="analytic",
+    )
+    assert admissibility_check(Seq.power(p), Seq.power(-q), n_max) == want
 
 
 def test_admissibility_tabulated():
