@@ -192,12 +192,19 @@ def _power_tail_sum(e: float, k: int, m: int) -> float:
         return math.inf
 
 
+def _mark(v) -> float | str:
+    """A witness sum, or "overflow" where it left the float range (JSON has no inf/nan)."""
+    v = float(v)
+    return v if math.isfinite(v) else "overflow"
+
+
 def _annulus_partial_sums(mu: AnnulusSeries, alpha: float, n_terms: int) -> dict:
     """Partial sums of f(n)^(alpha-r) h(n) at the decade marks up to n_terms.
 
     The first max(1000, longest table) terms are summed directly. Past every
     table the terms are exactly C n^e, so the later marks add a closed-form
     Euler-Maclaurin tail to the head: the cost does not grow with n_terms.
+    Steep windows can overflow f(n)^(alpha-r); such marks read "overflow".
     """
     upto = n_terms
     head = _WITNESS_HEAD
@@ -207,17 +214,18 @@ def _annulus_partial_sums(mu: AnnulusSeries, alpha: float, n_terms: int) -> dict
             upto = min(upto, seq.table_len)
     head = min(head, upto)
     n = np.arange(1, head + 1, dtype=float)
-    terms = mu.growth(n) ** (alpha - mu.r) * mu.gap(n)
-    sums = np.cumsum(terms)
     exponent = mu.series_exponent(alpha)
     marks = {}
-    for m in _WITNESS_MARKS:
-        if m > upto:
-            break
-        if m <= head:
-            marks[str(m)] = float(sums[m - 1])
-        else:
-            marks[str(m)] = float(sums[-1] + terms[-1] * _power_tail_sum(exponent, head, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = mu.growth(n) ** (alpha - mu.r) * mu.gap(n)
+        sums = np.cumsum(terms)
+        for m in _WITNESS_MARKS:
+            if m > upto:
+                break
+            if m <= head:
+                marks[str(m)] = _mark(sums[m - 1])
+            else:
+                marks[str(m)] = _mark(sums[-1] + terms[-1] * _power_tail_sum(exponent, head, m))
     return {"terms_summed": int(upto), "partial_sums": marks}
 
 
@@ -303,9 +311,10 @@ def classify_sphere_series(
     if diverges is None:
         upto = min(n_terms, mu.radii.table_len)
         n = np.arange(1, upto + 1, dtype=float)
-        sums = np.cumsum(mu.radii(n) ** (alpha - 1.0 - mu.r))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = np.cumsum(mu.radii(n) ** (alpha - 1.0 - mu.r))
         witness["terms_summed"] = int(upto)
-        witness["partial_sum"] = float(sums[-1]) if upto else 0.0
+        witness["partial_sum"] = _mark(sums[-1]) if upto else 0.0
         return _verdict(
             Conclusion.INCONCLUSIVE, "tabulated-tail-unsettled", mu, alpha, dim, witness
         )

@@ -53,26 +53,30 @@ def build_parser() -> argparse.ArgumentParser:
 def run_cli(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw = read_config(args.config)
-        task = raw.get("task") if isinstance(raw, dict) else None
-        if args.seed is not None and task in _ALLOWED and "seed" in _ALLOWED[task]:
-            raw["seed"] = args.seed
-        if args.out is not None:
-            raw["out"] = args.out
-        cfg = validate_config(raw)
-        if cfg.task not in _COMMAND_TASKS[args.command]:
-            print(
-                f"error: config task '{cfg.task}' does not belong to command '{args.command}'",
-                file=sys.stderr,
-            )
-            return 2
-        result = run_task(cfg, threads=max(1, args.threads))
-    except BigMeasureError as e:
+        return _run(args)
+    except (BigMeasureError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+    except Exception as e:
+        # last resort: a crash is a runtime error (2), never a failed check (1)
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+    return 2
+
+
+def _run(args) -> int:
+    raw = read_config(args.config)
+    task = raw.get("task") if isinstance(raw, dict) else None
+    if args.seed is not None and task in _ALLOWED and "seed" in _ALLOWED[task]:
+        raw["seed"] = args.seed
+    if args.out is not None:
+        raw["out"] = args.out
+    cfg = validate_config(raw)
+    if cfg.task not in _COMMAND_TASKS[args.command]:
+        print(
+            f"error: config task '{cfg.task}' does not belong to command '{args.command}'",
+            file=sys.stderr,
+        )
         return 2
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    result = run_task(cfg, threads=max(1, args.threads))
 
     if cfg.out:
         out = Path(cfg.out)

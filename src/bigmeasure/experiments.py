@@ -197,6 +197,14 @@ def _seq_from_spec(obj, errors, label):
     return None
 
 
+def _seqs_from_spec(spec: dict, *labels) -> list:
+    errors = []
+    seqs = [_seq_from_spec(spec[label], errors, label) for label in labels]
+    if errors:
+        raise ValueError("; ".join(errors))
+    return seqs
+
+
 def _measure_from_spec(spec: dict):
     """Build the measure from a validated spec dict."""
     family = spec["family"]
@@ -205,17 +213,16 @@ def _measure_from_spec(spec: dict):
     if family == "annulus_series":
         if "p" in spec:
             return AnnulusSeries.parametric(p=float(spec["p"]), q=float(spec["q"]), r=float(spec["r"]))
-        errors = []
-        growth = _seq_from_spec(spec["growth"], errors, "growth")
-        gap = _seq_from_spec(spec["gap"], errors, "gap")
-        if errors:
-            raise ValueError("; ".join(errors))
+        growth, gap = _seqs_from_spec(spec, "growth", "gap")
         return AnnulusSeries(growth=growth, gap=gap, r=float(spec["r"]))
     if family == "sphere_series":
         if "p" in spec:
             return SphereSeries.parametric(p=float(spec["p"]), r=float(spec["r"]))
-        tail = spec.get("tail_exponent")
-        radii = Seq.table(list(spec["radii"]), None if tail is None else float(tail))
+        if isinstance(spec["radii"], dict):
+            (radii,) = _seqs_from_spec(spec, "radii")
+        else:
+            tail = spec.get("tail_exponent")
+            radii = Seq.table(list(spec["radii"]), None if tail is None else float(tail))
         return SphereSeries(radii=radii, r=float(spec["r"]))
     if family == "boundary_power":
         return BoundaryPower(float(spec["r"]), float(spec.get("radius", 1.0)))
@@ -235,7 +242,9 @@ def _validate_measure(obj, errors):
         else:
             allowed, need = {"family", "p", "q", "r"}, {"p", "q", "r"}
     elif family == "sphere_series":
-        if "radii" in obj:
+        if isinstance(obj.get("radii"), dict):
+            allowed, need = {"family", "radii", "r"}, {"radii", "r"}
+        elif "radii" in obj:
             allowed, need = {"family", "radii", "tail_exponent", "r"}, {"radii", "r"}
         else:
             allowed, need = {"family", "p", "r"}, {"p", "r"}

@@ -15,6 +15,12 @@ Conventions used throughout the package:
 ``radial_shell_average`` is the workhorse for rotation-invariant measures:
 the average of the kernel over a centered sphere of radius ``s`` seen from
 distance ``rho``, i.e. the kernel of the one-dimensional radial reduction.
+It has one closed form in every dimension, the Gauss hypergeometric
+
+    kbar(rho, s) = M^(alpha-dim) 2F1((dim-alpha)/2, 1-alpha/2; dim/2; (m/M)^2)
+
+with M = max(rho, s), m = min(rho, s), evaluated by ``scipy.special.hyp2f1``
+on whole arrays. At m = M the series converges exactly when alpha > 1.
 """
 
 from __future__ import annotations
@@ -23,12 +29,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import (
     AlphaOutOfRange,
     CoincidentPoints,
-    NonConvergedQuadrature,
     NotTransient,
 )
 
@@ -149,72 +154,15 @@ def boundary_green_profile(delta_y: float, model: KernelModel) -> float:
     return delta_y**model.boundary_exponent
 
 
-def _shell_average_d1(rho: float, s: float, alpha: float) -> float:
-    # two-point average over {-s, s}
-    lo = abs(rho - s) ** (alpha - 1.0) if rho != s else (0.0 if alpha > 1 else math.inf)
-    if rho == s and alpha == 1.0:
-        lo = 1.0
-    return 0.5 * (lo + (rho + s) ** (alpha - 1.0))
-
-
-def _shell_average_d3(rho, s, alpha):
-    """Closed form in dim 3; exact antiderivative of the polar integral.
-
-    Written in terms of u = min(rho, s) / max(rho, s). The direct difference
-    of powers cancels catastrophically for u below about 1e-8, so small u
-    switches to the binomial series in u^2, which is far past machine
-    precision by the u^8 term at the crossover.
-    """
-    rho = np.asarray(rho, dtype=float)
-    s = np.asarray(s, dtype=float)
-    big = np.maximum(rho, s)
-    small = np.minimum(rho, s)
-    u = small / big
-    if alpha == 1.0:
-        out = np.arctanh(u) / (big * big * u)
-        return np.where(u == 0.0, big**-2.0, out)
-    a1 = alpha - 1.0
-    closed = ((big * (1.0 + u)) ** a1 - (big * (1.0 - u)) ** a1) / (
-        2.0 * rho * s * a1
-    )
-    c2 = (a1 - 1.0) * (a1 - 2.0) / 6.0
-    c4 = c2 * (a1 - 3.0) * (a1 - 4.0) / 20.0
-    c6 = c4 * (a1 - 5.0) * (a1 - 6.0) / 42.0
-    c8 = c6 * (a1 - 7.0) * (a1 - 8.0) / 72.0
-    u2 = u * u
-    series = big ** (alpha - 3.0) * (
-        1.0 + u2 * (c2 + u2 * (c4 + u2 * (c6 + u2 * c8)))
-    )
-    return np.where(u < 0.02, series, closed)
-
-
-_SIN_NORM_CACHE: dict[int, float] = {}
-
-
-def _sin_power_norm(dim: int) -> float:
-    # int_0^pi sin(theta)^(dim-2) dtheta
-    val = _SIN_NORM_CACHE.get(dim)
-    if val is None:
-        val = math.sqrt(math.pi) * special.gamma((dim - 1) / 2.0) / special.gamma(dim / 2.0)
-        _SIN_NORM_CACHE[dim] = val
-    return val
-
-
-def radial_shell_average(
-    rho: float,
-    s: float,
-    alpha: float,
-    dim: int,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-8,
-) -> float:
+def radial_shell_average(rho: float, s: float, alpha: float, dim: int) -> float:
     """Average of |x - y|^(alpha-dim) over the sphere |y| = s, with |x| = rho.
 
-    Returns math.inf when the average diverges (rho == s with alpha <= 1).
-    Computed by adaptive quadrature in the polar angle for dim >= 2; the
-    coincident-radius singularity at theta = 0 is integrable for alpha > 1
-    and the interval is split there. Raises NonConvergedQuadrature if the
-    quadrature cannot certify the requested tolerance.
+    With M = max(rho, s) and m = min(rho, s) the average is
+    M^(alpha-dim) 2F1((dim-alpha)/2, 1-alpha/2; dim/2; (m/M)^2), one closed
+    form for every dimension: in dim 1 it is the two-point average of
+    |rho -+ s|^(alpha-1), and at alpha = 2 it is Newton's M^(2-dim).
+    Returns math.inf when the average diverges (rho == s with alpha <= 1
+    and alpha < dim).
     """
     if rho < 0 or s < 0:
         raise ValueError("radii must be nonnegative")
@@ -222,67 +170,25 @@ def radial_shell_average(
         raise AlphaOutOfRange(f"alpha must be in (0, 2], got {alpha}")
     if rho == s == 0.0:
         raise CoincidentPoints("shell average at rho = s = 0")
-    if dim == 1:
-        return _shell_average_d1(rho, s, alpha)
-    if rho == 0.0 or s == 0.0:
-        # integrand is constant on the sphere
-        return max(rho, s) ** (alpha - dim)
-    if rho == s and alpha <= 1.0:
-        return math.inf
-
-    expo = (alpha - dim) / 2.0
-    r2 = rho * rho + s * s
-    c2 = 2.0 * rho * s
-    norm = _sin_power_norm(dim)
-
-    def integrand(theta):
-        return (r2 - c2 * math.cos(theta)) ** expo * math.sin(theta) ** (dim - 2)
-
-    # split at the near-singular end; QUADPACK extrapolation handles the
-    # integrable endpoint singularity on [0, cut]
-    cut = min(0.5, abs(rho - s) / max(rho, s) + 0.25) if rho != s else 0.5
-    total = 0.0
-    err = 0.0
-    for a, b in ((0.0, cut), (cut, math.pi)):
-        res = integrate.quad(
-            integrand, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=200, full_output=1
-        )
-        total += res[0]
-        err += res[1]
-    result = total / norm
-    if not math.isfinite(result):
-        raise NonConvergedQuadrature(
-            f"shell average quadrature produced {result} at rho={rho}, s={s}"
-        )
-    if err / norm > max(abs_tol * 10.0, rel_tol * 10.0 * abs(result)):
-        raise NonConvergedQuadrature(
-            f"shell average error estimate {err / norm:g} exceeds tolerance "
-            f"at rho={rho}, s={s}, alpha={alpha}, dim={dim}"
-        )
-    return result
+    return float(shell_average_batch(rho, s, alpha, dim))
 
 
 def shell_average_batch(rho: float, s, alpha: float, dim: int) -> np.ndarray:
-    """Vectorized shell average over an array of sphere radii.
+    """Shell average of :func:`radial_shell_average` over an array of radii s.
 
-    Uses the exact closed forms in dim 1 and 3 (measure-zero coincidences
-    rho == s come back as inf for alpha <= 1, consistent with the scalar
-    path) and falls back to per-point quadrature otherwise.
+    Coincidences rho == s come back as inf for alpha <= 1, as in the scalar
+    path; with rho == 0 the value is the plain power s^(alpha-dim).
     """
     s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if dim == 1:
-            lo = np.abs(rho - s) ** (alpha - 1.0)
-            return 0.5 * (lo + (rho + s) ** (alpha - 1.0))
-        if rho == 0.0:
+    if rho == 0.0:
+        with np.errstate(divide="ignore"):
             return s ** (alpha - dim)
-        if dim == 3:
-            safe_s = np.where(s == 0.0, 1.0, s)
-            return np.where(
-                s == 0.0,
-                rho ** (alpha - dim),
-                _shell_average_d3(rho, safe_s, alpha),
-            )
-    return np.array(
-        [radial_shell_average(rho, float(si), alpha, dim) for si in np.atleast_1d(s)]
+    big = np.maximum(rho, s)
+    u = np.minimum(rho, s) / big
+    val = big ** (alpha - dim) * special.hyp2f1(
+        (dim - alpha) / 2.0, 1.0 - alpha / 2.0, dim / 2.0, u * u
     )
+    if alpha <= 1.0 and alpha < dim:
+        # the polar integral diverges at coincident radii
+        val = np.where(u == 1.0, math.inf, val)
+    return val

@@ -227,6 +227,29 @@ def test_verdict_row_is_flat_and_json_safe():
     assert str(v.conclusion) == "Big"
 
 
+def test_overflowing_witness_sums_are_strict_json():
+    import json
+    import warnings
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = classify(AnnulusSeries.parametric(p=100.0, q=1.5, r=0.0), 1.5, 3)
+        w = classify(AnnulusSeries.parametric(p=100.0, q=400.0, r=0.0), 1.5, 3)
+        s = classify(SphereSeries(radii=Seq.table([1e100, 1e250, 1e300]), r=-1.0), 1.5, 3)
+    assert v.conclusion is Conclusion.BIG and v.rule == "annulus-mass-series"
+    assert w.conclusion is Conclusion.NON_BIG
+    assert s.conclusion is Conclusion.INCONCLUSIVE
+    witness = json.loads(v.to_row()["witness"], parse_constant=reject)
+    marks = witness["partial_sums"]
+    assert marks["10"] == pytest.approx(sum(n**148.5 for n in range(1, 11)), rel=1e-12)
+    assert marks["1000"] == marks["1000000"] == "overflow"
+    json.loads(w.to_row()["witness"], parse_constant=reject)
+    assert json.loads(s.to_row()["witness"], parse_constant=reject)["partial_sum"] == "overflow"
+
+
 def test_volume_decay_report_worked_example():
     # decaying window volumes (q > p d) with a NonBig verdict: not paradoxical
     rep = volume_decay_report(p=0.5, q=2.0, r=0.0, alpha=1.5, dim=3)

@@ -364,3 +364,70 @@ def test_numbers_are_written_as_plain_floats():
     fields += items["table_radii"].split(";") + items["table_values"].split(";")
     for field in fields:
         float(field)
+
+
+@pytest.mark.parametrize("x", [6.0, 7.0, 8.0])
+def test_cli_d5_annulus_probe_at_window_edge(tmp_path, capsys, x):
+    # these radii sit a hair inside a window; the shell average there is
+    # near-coincident and must come out finite, not as a quadrature failure
+    path = _write(tmp_path, "p.json", {"task": "potential", "alpha": 1.5, "dim": 5,
+                                       "measure": {"family": "annulus_series",
+                                                   "p": 1.0, "q": 3.0, "r": 0.0},
+                                       "x": x})
+    assert run_cli(["potential", "--config", path]) == 0
+    row = _rows(capsys.readouterr().out)[0]
+    assert row["divergent"] == "False"
+    assert 0.0 < float(row["value"]) < float("inf")
+
+
+def test_cli_crash_exits_two_without_traceback(tmp_path, capsys, monkeypatch):
+    import bigmeasure.cli as cli_mod
+
+    def crash(cfg, threads=1):
+        raise ZeroDivisionError("0.0 cannot be raised to a negative power")
+
+    monkeypatch.setattr(cli_mod, "run_task", crash)
+    path = _write(tmp_path, "c.json", {"task": "classify", "alpha": 2.0, "dim": 3,
+                                       "measure": {"family": "power_weight", "p": -1.0}})
+    assert run_cli(["classify", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: ZeroDivisionError: 0.0 cannot be raised to a negative power\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("radii, conclusion", [
+    ({"exponent": 2.0}, "Big"),
+    ({"exponent": 4.0}, "NonBig"),
+    ({"table": [1.0, 4.0, 9.0, 16.0], "tail_exponent": 2.0}, "Big"),
+    ({"table": [1.0, 4.0, 9.0, 16.0]}, "Inconclusive"),
+    ([1.0, 4.0, 9.0, 16.0], "Inconclusive"),
+])
+def test_cli_sphere_radii_forms(tmp_path, capsys, radii, conclusion):
+    # p_bound = 1 / (r - alpha + 1) = 2 at r = 1, alpha = 1.5
+    path = _write(tmp_path, "c.json", {"task": "classify", "alpha": 1.5, "dim": 3,
+                                       "measure": {"family": "sphere_series",
+                                                   "radii": radii, "r": 1.0}})
+    assert run_cli(["classify", "--config", path]) == 0
+    assert _rows(capsys.readouterr().out)[0]["conclusion"] == conclusion
+
+
+def test_sphere_radii_object_matches_parametric():
+    spec = {"task": "classify", "alpha": 1.5, "dim": 3,
+            "measure": {"family": "sphere_series", "radii": {"exponent": 2.0}, "r": 1.0}}
+    as_object = validate_config(spec).measure
+    spec["measure"] = {"family": "sphere_series", "p": 2.0, "r": 1.0}
+    assert as_object == validate_config(spec).measure
+
+
+def test_sphere_radii_object_form_errors_are_collected():
+    for radii, msg in (({"exponent": "x"}, "measure: radii:"),
+                       ({"table": [1.0, 2.0], "bogus": 1}, "measure: radii: keys must be")):
+        with pytest.raises(ValidationError) as exc:
+            validate_config({"task": "classify", "alpha": 1.5, "dim": 3,
+                             "measure": {"family": "sphere_series", "radii": radii, "r": 1.0}})
+        assert msg in str(exc.value)
+    with pytest.raises(ValidationError) as exc:
+        validate_config({"task": "classify", "alpha": 1.5, "dim": 3,
+                         "measure": {"family": "sphere_series", "radii": {"exponent": 2.0},
+                                     "tail_exponent": 1.0, "r": 1.0}})
+    assert "unknown key 'tail_exponent'" in str(exc.value)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bigmeasure.errors import AlphaOutOfRange, CoincidentPoints, NotTransient
 from bigmeasure.kernels import (
@@ -25,6 +27,31 @@ SHELL_D3_MC = (0.366134, 5.8e-5)
 # mpmath quadrature of (5 - 4 cos t)^(-1/4) / pi over [0, pi]; MC agreed
 # at 0.719378 +- 4.4e-5.
 SHELL_D2_ORACLE = 0.719416660018952
+
+# Near-coincidence shell averages at rho = 1 and s = 1 - delta (exact
+# doubles): 40-digit mpmath, once from the 2F1 closed form and once by
+# quadrature of the defining polar-angle integral; the two agreed to
+# better than 1e-38. (dim, alpha, delta, kbar(1, 1 - delta))
+NEAR_COINCIDENCE = [
+    (2, 1.0001, 1e-06, 5.0562047215845087),
+    (2, 1.0001, 1e-09, 7.2510631270117786),
+    (2, 1.5, 1e-06, 1.1799595140289594),
+    (2, 1.5, 1e-09, 1.1803285390205449),
+    (2, 1.999, 1e-06, 1.000000411527241),
+    (2, 1.999, 1e-09, 1.0000004115343419),
+    (4, 1.0001, 1e-06, 8.8400129156697481),
+    (4, 1.0001, 1e-09, 13.230160551329926),
+    (4, 1.5, 1e-06, 1.5722639107765237),
+    (4, 1.5, 1e-09, 1.5737392261594351),
+    (4, 1.999, 1e-06, 1.0005006486426977),
+    (4, 1.999, 1e-09, 1.0005006618450323),
+    (5, 1.0001, 1e-06, 10.124868683917843),
+    (5, 1.0001, 1e-09, 15.296984797376568),
+    (5, 1.5, 1e-06, 1.6950592407014806),
+    (5, 1.5, 1e-09, 1.696993032265127),
+    (5, 1.999, 1e-06, 1.0006409279664032),
+    (5, 1.999, 1e-09, 1.000640947343352),
+]
 
 
 def test_newton_shell_oracle():
@@ -89,6 +116,74 @@ def test_shell_average_batch_matches_quadrature():
             batch = shell_average_batch(1.3, s, alpha, dim)
             scalar = [radial_shell_average(1.3, float(si), alpha, dim) for si in s]
             assert np.allclose(batch, scalar, rtol=1e-8)
+
+
+@pytest.mark.parametrize("dim, alpha, delta, want", NEAR_COINCIDENCE)
+def test_shell_average_near_coincidence_frozen(dim, alpha, delta, want):
+    s = 1.0 - delta
+    assert radial_shell_average(1.0, s, alpha, dim) == pytest.approx(want, rel=1e-10)
+    assert radial_shell_average(s, 1.0, alpha, dim) == pytest.approx(want, rel=1e-10)
+    batch = shell_average_batch(1.0, np.array([s, 1.0 / s]), alpha, dim)
+    assert batch[0] == pytest.approx(want, rel=1e-10)
+
+
+_RADII = st.floats(1e-3, 1e3)
+_ALPHAS = st.floats(0.05, 2.0)
+_DIMS = st.integers(1, 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rho=_RADII, s=_RADII, alpha=_ALPHAS, dim=_DIMS)
+def test_shell_average_symmetry_property(rho, s, alpha, dim):
+    assert radial_shell_average(rho, s, alpha, dim) == radial_shell_average(s, rho, alpha, dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rho=_RADII, s=_RADII, alpha=_ALPHAS, dim=_DIMS)
+def test_shell_average_scaling_property(rho, s, alpha, dim):
+    # kbar is homogeneous of degree alpha - dim; keep off the diagonal,
+    # where rounding rho / s moves 1 - (m/M)^2 by more than the tolerance
+    if abs(rho - s) < 1e-3 * max(rho, s):
+        return
+    got = radial_shell_average(rho, s, alpha, dim)
+    want = s ** (alpha - dim) * radial_shell_average(rho / s, 1.0, alpha, dim)
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_shell_average_dim1_is_two_point_identity():
+    # 2F1(a, a + 1/2; 1/2; u^2) = ((1 + u)^(-2a) + (1 - u)^(-2a)) / 2
+    s = np.linspace(0.01, 0.999, 60)
+    for alpha in (0.3, 0.5, 0.9, 1.0, 1.5, 2.0):
+        want = 0.5 * (np.abs(1.0 - s) ** (alpha - 1.0) + (1.0 + s) ** (alpha - 1.0))
+        np.testing.assert_allclose(shell_average_batch(1.0, s, alpha, 1), want, rtol=1e-12)
+        np.testing.assert_allclose(shell_average_batch(1.0, 1.0 / s, alpha, 1), want / s ** (alpha - 1.0), rtol=1e-12)
+
+
+def test_shell_average_newton_is_exact():
+    # alpha = 2: the hypergeometric factor is exactly 1 in every dimension
+    rng = np.random.default_rng(3)
+    s = rng.uniform(0.05, 5.0, size=50)
+    for dim in (3, 4, 5, 7):
+        assert np.array_equal(shell_average_batch(1.7, s, 2.0, dim), np.maximum(1.7, s) ** (2.0 - dim))
+
+
+def test_shell_average_batch_guards():
+    s = np.array([0.5, 1.0, 2.0])
+    for dim in (1, 2, 3, 5):
+        for alpha in (0.5, 1.0):
+            if alpha == dim:
+                continue
+            out = shell_average_batch(1.0, s, alpha, dim)
+            assert out[1] == math.inf and np.all(np.isfinite(out[[0, 2]]))
+            assert radial_shell_average(1.0, 1.0, alpha, dim) == math.inf
+        assert np.isfinite(shell_average_batch(1.0, s, 1.5, dim)).all()
+    # the kernel is identically 1 when alpha == dim
+    assert radial_shell_average(1.0, 1.0, 1.0, 1) == 1.0
+    np.testing.assert_array_equal(shell_average_batch(0.0, s, 1.5, 5), s**-3.5)
+    with pytest.raises(ValueError):
+        radial_shell_average(-1.0, 1.0, 1.5, 3)
+    with pytest.raises(AlphaOutOfRange):
+        radial_shell_average(1.0, 2.0, 2.5, 3)
 
 
 def test_riesz_kernel_basics():

@@ -290,6 +290,19 @@ def test_decay_check_hypothesis_violations():
         potential_decay_check(PowerWeight(-4.0), M23, radii=[1.0])
 
 
+def test_high_dimension_tail_stays_in_float_range():
+    # alpha = 2, rho = 0: U(0) = omega_d int t (1 + t)^p dt = omega_d / ((-p-1)(-p-2));
+    # near the threshold the tail runs to radii where t^(d-1) overflows
+    for dim in (7, 9):
+        res = riesz_potential(PowerWeight(-2.1), 0.0, KernelModel(2.0, dim))
+        want = sphere_surface_area(dim) / (1.1 * 0.1)
+        assert not res.divergent
+        assert res.value == pytest.approx(want, rel=1e-8)
+    for mu in (SphereSeries.parametric(p=1.0, r=1.6), AnnulusSeries.parametric(p=1.0, q=2.55, r=0.0)):
+        res = riesz_potential(mu, 1.3, KernelModel(1.5, 9))
+        assert not res.divergent and math.isfinite(res.value) and math.isfinite(res.abs_error)
+
+
 def test_recurrent_model_is_rejected():
     with pytest.raises(NotTransient):
         riesz_potential(PowerWeight(-4.0), 0.0, KernelModel(2.0, 2))
