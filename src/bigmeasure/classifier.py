@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AlphaOutOfRange, DecayHypothesisUnavailable, NotTransient
-from .kernels import FreeSpace, KernelModel
+from .kernels import KernelModel
 from .measures import (
     AnnulusSeries,
     BoundaryPower,
@@ -198,19 +198,33 @@ def _mark(v) -> float | str:
     return v if math.isfinite(v) else "overflow"
 
 
+def _log_seq(seq: Seq, n: np.ndarray) -> np.ndarray:
+    """log seq(n), finite where seq(n) itself leaves the float range."""
+    if seq.is_parametric:
+        return seq.exponent * np.log(n)
+    cnt = seq.table_len
+    within = n <= cnt
+    out = np.empty_like(n)
+    out[within] = np.log(seq(n[within]))
+    out[~within] = math.log(seq.values[-1]) + seq.tail_exponent * np.log(n[~within] / cnt)
+    return out
+
+
 def _annulus_partial_sums(mu: AnnulusSeries, alpha: float, n_terms: int) -> dict:
     """Partial sums of f(n)^(alpha-r) h(n) at the decade marks up to n_terms.
 
     The first max(1000, longest table) terms are summed directly. Past every
     table the terms are exactly C n^e, so the later marks add a closed-form
     Euler-Maclaurin tail to the head: the cost does not grow with n_terms.
-    Steep windows can overflow f(n)^(alpha-r); such marks read "overflow".
+    A term whose direct product is not finite (f(n)^(alpha-r) overflowed,
+    possibly against an underflowed h(n)) is taken in log space instead;
+    marks whose sums still leave the float range read "overflow".
     """
     upto = n_terms
     head = _WITNESS_HEAD
     for seq in (mu.growth, mu.gap):
         head = max(head, seq.table_len)
-        if not seq.is_parametric and seq.tail_exponent is None:
+        if seq.truncated:
             upto = min(upto, seq.table_len)
     head = min(head, upto)
     n = np.arange(1, head + 1, dtype=float)
@@ -218,6 +232,10 @@ def _annulus_partial_sums(mu: AnnulusSeries, alpha: float, n_terms: int) -> dict
     marks = {}
     with np.errstate(over="ignore", invalid="ignore"):
         terms = mu.growth(n) ** (alpha - mu.r) * mu.gap(n)
+        bad = ~np.isfinite(terms)
+        if bad.any():
+            nb = n[bad]
+            terms[bad] = np.exp((alpha - mu.r) * _log_seq(mu.growth, nb) + _log_seq(mu.gap, nb))
         sums = np.cumsum(terms)
         for m in _WITNESS_MARKS:
             if m > upto:
@@ -297,8 +315,7 @@ def classify_sphere_series(
             f"sphere-series rule is proved for alpha in (1, 2), got {alpha}"
         )
     _require_transient(alpha, dim)
-    tp = mu.radii.tail_power()
-    exponent = None if tp is None else tp * (alpha - 1.0 - mu.r)
+    exponent = mu.series_exponent(alpha)
     diverges = _series_tail_decision(exponent)
     witness = {"series_term_exponent": exponent, "divergence_threshold": -1.0}
     if mu.radii.is_parametric:
@@ -387,11 +404,6 @@ def divergence_by_potential(mu: MeasureSpec, model: KernelModel, x0) -> Verdict:
     far-field decay of potentials of finite measures does the rest). The
     measure must be finite on compacts.
     """
-    if not isinstance(model.variant, FreeSpace):
-        raise DecayHypothesisUnavailable(
-            "potential-divergence route is certified for free space only; "
-            "use the closed-form boundary rule for the absorbing ball"
-        )
     if model.alpha <= 1.0:
         raise DecayHypothesisUnavailable(
             f"potential-divergence route needs alpha in (1, 2], got {model.alpha}"
@@ -430,4 +442,4 @@ def _tail_truncated(mu: MeasureSpec) -> bool:
         seqs = (mu.radii,)
     else:
         return False
-    return any(not s.is_parametric and s.tail_exponent is None for s in seqs)
+    return any(s.truncated for s in seqs)

@@ -13,6 +13,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -76,10 +77,10 @@ _ALLOWED = {
     "classify": set(),
     "potential": {"x", "radii", "tol"},
     "decay-check": {"radii", "decay_fraction", "tol"},
-    "simulate": {"seed", "n_paths", "dt", "horizons", "x", "process", "coupling", "smoothing_eps"},
-    "sweep": {"grid", "simulate", "seed", "n_paths", "dt", "horizon", "x", "process", "coupling", "smoothing_eps"},
+    "simulate": {"seed", "n_paths", "dt", "horizons", "x", "coupling", "smoothing_eps"},
+    "sweep": {"grid", "simulate", "seed", "n_paths", "dt", "horizon", "x", "coupling", "smoothing_eps"},
     "verify-identity": {"seed", "n_paths", "dt", "horizon", "x", "coupling", "table_radii", "table_paths", "tol"},
-    "rotation-check": {"seed", "n_paths", "dt", "horizon", "x", "q_matrix", "process", "smoothing_eps"},
+    "rotation-check": {"seed", "n_paths", "dt", "horizon", "x", "q_matrix", "smoothing_eps"},
 }
 _REQUIRED = {
     "classify": set(),
@@ -131,10 +132,6 @@ class ExperimentConfig:
     def measure(self):
         return _measure_from_spec(self.measure_spec)
 
-    @property
-    def process(self):
-        return _process_for(self.raw.get("process"), self.alpha, self.dim)
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -176,6 +173,17 @@ def load_config(path) -> ExperimentConfig:
     return validate_config(read_config(path))
 
 
+def _float(v) -> float:
+    """float(v) for a measure parameter; NaN, Infinity and out-of-range ints are errors."""
+    try:
+        f = float(v)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise ValueError(f"parameters must be finite numbers, got {v!r}")
+    return f
+
+
 def _seq_from_spec(obj, errors, label):
     if not isinstance(obj, dict):
         errors.append(f"{label} must be an object with 'exponent' or 'table'")
@@ -183,13 +191,13 @@ def _seq_from_spec(obj, errors, label):
     keys = set(obj)
     if keys == {"exponent"}:
         try:
-            return Seq.power(float(obj["exponent"]))
+            return Seq.power(_float(obj["exponent"]))
         except (TypeError, ValueError) as e:
             errors.append(f"{label}: {e}")
     elif keys in ({"table"}, {"table", "tail_exponent"}):
         try:
             tail = obj.get("tail_exponent")
-            return Seq.table(list(obj["table"]), None if tail is None else float(tail))
+            return Seq.table([_float(v) for v in obj["table"]], None if tail is None else _float(tail))
         except (TypeError, ValueError) as e:
             errors.append(f"{label}: {e}")
     else:
@@ -209,23 +217,23 @@ def _measure_from_spec(spec: dict):
     """Build the measure from a validated spec dict."""
     family = spec["family"]
     if family == "power_weight":
-        return PowerWeight(float(spec["p"]))
+        return PowerWeight(_float(spec["p"]))
     if family == "annulus_series":
         if "p" in spec:
-            return AnnulusSeries.parametric(p=float(spec["p"]), q=float(spec["q"]), r=float(spec["r"]))
+            return AnnulusSeries.parametric(p=_float(spec["p"]), q=_float(spec["q"]), r=_float(spec["r"]))
         growth, gap = _seqs_from_spec(spec, "growth", "gap")
-        return AnnulusSeries(growth=growth, gap=gap, r=float(spec["r"]))
+        return AnnulusSeries(growth=growth, gap=gap, r=_float(spec["r"]))
     if family == "sphere_series":
         if "p" in spec:
-            return SphereSeries.parametric(p=float(spec["p"]), r=float(spec["r"]))
+            return SphereSeries.parametric(p=_float(spec["p"]), r=_float(spec["r"]))
         if isinstance(spec["radii"], dict):
             (radii,) = _seqs_from_spec(spec, "radii")
         else:
             tail = spec.get("tail_exponent")
-            radii = Seq.table(list(spec["radii"]), None if tail is None else float(tail))
-        return SphereSeries(radii=radii, r=float(spec["r"]))
+            radii = Seq.table([_float(v) for v in spec["radii"]], None if tail is None else _float(tail))
+        return SphereSeries(radii=radii, r=_float(spec["r"]))
     if family == "boundary_power":
-        return BoundaryPower(float(spec["r"]), float(spec.get("radius", 1.0)))
+        return BoundaryPower(_float(spec["r"]), _float(spec.get("radius", 1.0)))
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -271,37 +279,32 @@ def _validate_measure(obj, errors):
             errors.append(f"measure: {e}")
 
 
-def _process_for(spec: Optional[dict], alpha: float, dim: int):
-    if spec is None:
-        return Brownian(dim) if alpha == 2.0 else IsotropicStable(alpha, dim)
-    kind = spec.get("kind")
-    if kind == "brownian":
-        return Brownian(int(spec.get("dim", dim)))
-    if kind == "stable":
-        return IsotropicStable(float(spec.get("alpha", alpha)), int(spec.get("dim", dim)))
-    raise ValueError(f"unknown process kind {kind!r}")
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _validate_process(obj, alpha, dim, errors):
-    if obj is None:
-        return
-    if not isinstance(obj, dict) or obj.get("kind") not in ("brownian", "stable"):
-        errors.append("process.kind must be 'brownian' or 'stable'")
-        return
-    if obj.get("kind") == "brownian" and alpha != 2.0:
-        errors.append("process 'brownian' requires alpha = 2")
-    if obj.get("kind") == "stable" and float(obj.get("alpha", alpha)) != alpha:
-        errors.append("process.alpha must match the top-level alpha")
-    if int(obj.get("dim", dim)) != dim:
-        errors.append("process.dim must match the top-level dim")
+def _is_finite(v) -> bool:
+    """A JSON number inside the float range (json accepts NaN and Infinity)."""
+    if not _is_number(v):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _num(raw, key, errors, kind=float, cond=None, what=""):
     if key not in raw:
         return None
     v = raw[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         errors.append(f"'{key}' must be a number")
+        return None
+    if not _is_finite(v) and not (kind is int and isinstance(v, int)):
+        errors.append(f"'{key}' must be a finite number, got {v}")
+        return None
+    if kind is int and v != int(v):
+        errors.append(f"'{key}' must be an integer, got {v}")
         return None
     v = kind(v)
     if cond is not None and not cond(v):
@@ -314,9 +317,9 @@ def _point(raw, key, dim, errors):
     if key not in raw:
         return None
     v = raw[key]
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
+    if _is_finite(v):
         return (float(v),)
-    if isinstance(v, list) and len(v) == dim and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v):
+    if isinstance(v, list) and len(v) == dim and all(_is_finite(c) for c in v):
         return tuple(float(c) for c in v)
     errors.append(f"'{key}' must be a number (radius) or a list of {dim} coordinates")
     return None
@@ -344,8 +347,6 @@ def validate_config(raw) -> ExperimentConfig:
     dim = _num(raw, "dim", errors, int, lambda v: v >= 1, "must be a positive integer")
     if "measure" in raw:
         _validate_measure(raw["measure"], errors)
-    if alpha is not None and dim is not None:
-        _validate_process(raw.get("process"), alpha, dim, errors)
 
     seed = _num(raw, "seed", errors, int, lambda v: 0 <= v < 2**64, "must fit in 64 bits")
     n_paths = _num(raw, "n_paths", errors, int, lambda v: v >= 1, "must be >= 1")
@@ -359,7 +360,7 @@ def validate_config(raw) -> ExperimentConfig:
     horizons = None
     if "horizons" in raw:
         hs = raw["horizons"]
-        if not isinstance(hs, list) or not hs or any(not isinstance(t, (int, float)) or isinstance(t, bool) for t in hs):
+        if not isinstance(hs, list) or not hs or not all(_is_finite(t) for t in hs):
             errors.append("'horizons' must be a nonempty list of numbers")
         elif any(b <= a for a, b in zip(hs, hs[1:])) or hs[0] <= 0:
             errors.append("'horizons' must be positive and strictly increasing")
@@ -378,7 +379,7 @@ def validate_config(raw) -> ExperimentConfig:
     radii = None
     if "radii" in raw:
         rs = raw["radii"]
-        if not isinstance(rs, list) or any(not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0 for v in rs):
+        if not isinstance(rs, list) or any(not _is_finite(v) or v <= 0 for v in rs):
             errors.append("'radii' must be a list of positive numbers")
         elif any(b <= a for a, b in zip(rs, rs[1:])):
             errors.append("'radii' must be strictly increasing")
@@ -393,7 +394,7 @@ def validate_config(raw) -> ExperimentConfig:
     table_radii = None
     if "table_radii" in raw:
         tr = raw["table_radii"]
-        if not isinstance(tr, list) or len(tr) < 2 or any(not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0 for v in tr):
+        if not isinstance(tr, list) or len(tr) < 2 or any(not _is_finite(v) or v < 0 for v in tr):
             errors.append("'table_radii' must be a list (>= 2 entries) of nonnegative numbers")
         elif any(b <= a for a, b in zip(tr, tr[1:])):
             errors.append("'table_radii' must be strictly increasing")
@@ -403,8 +404,8 @@ def validate_config(raw) -> ExperimentConfig:
     grid = None
     if "grid" in raw:
         g = raw["grid"]
-        family = raw.get("measure", {}).get("family") if isinstance(raw.get("measure"), dict) else None
-        legal = _GRID_PARAMS.get(family, {"p", "q", "r", "alpha"})
+        family = raw["measure"].get("family") if isinstance(raw.get("measure"), dict) else None
+        legal = _GRID_PARAMS.get(family if isinstance(family, str) else None, {"p", "q", "r", "alpha"})
         if not isinstance(g, dict) or not 1 <= len(g) <= 2:
             errors.append("'grid' must map one or two parameter names to value lists")
         else:
@@ -412,8 +413,8 @@ def validate_config(raw) -> ExperimentConfig:
             for name, vals in g.items():
                 if name not in legal:
                     errors.append(f"grid parameter '{name}' does not apply to family {family}")
-                elif not isinstance(vals, list) or not vals or any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in vals):
-                    errors.append(f"grid values for '{name}' must be a nonempty list of numbers")
+                elif not isinstance(vals, list) or not vals or not all(_is_finite(v) for v in vals):
+                    errors.append(f"grid values for '{name}' must be a nonempty list of finite numbers")
                 elif name == "alpha" and any(not 0 < v <= 2 for v in vals):
                     errors.append("grid values for 'alpha' must be in (0, 2]")
                 else:
@@ -436,7 +437,7 @@ def validate_config(raw) -> ExperimentConfig:
             not isinstance(qm, list)
             or len(qm) != d
             or any(not isinstance(row, list) or len(row) != d for row in qm)
-            or any(not isinstance(v, (int, float)) or isinstance(v, bool) for row in qm for v in row)
+            or any(not _is_finite(v) for row in qm for v in row)
         )
         if bad:
             errors.append(f"'q_matrix' must be a {d} x {d} numeric matrix")
@@ -518,6 +519,11 @@ def _csv_text(header, columns, rows) -> str:
     return buf.getvalue()
 
 
+def _free_process(alpha: float, dim: int):
+    """The process alpha and dim fix: Brownian at alpha = 2, isotropic stable otherwise."""
+    return Brownian(dim) if alpha == 2.0 else IsotropicStable(alpha, dim)
+
+
 def _auto_eps(cfg: ExperimentConfig, mu) -> Optional[float]:
     if not isinstance(mu, SphereSeries):
         return None
@@ -566,7 +572,7 @@ def run_simulate(cfg: ExperimentConfig, threads: int = 1) -> RunResult:
     curve = estimate_gauge(
         np.array(cfg.x) if len(cfg.x) > 1 else cfg.x[0],
         mu,
-        cfg.process,
+        _free_process(cfg.alpha, cfg.dim),
         cfg.horizons,
         cfg.n_paths,
         cfg.seed,
@@ -611,10 +617,9 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> RunResult:
     if cfg.simulate_mc:
         def one(idx):
             mu, alpha = measures[idx]
-            proc = Brownian(cfg.dim) if alpha == 2.0 else IsotropicStable(alpha, cfg.dim)
             curve = estimate_gauge(
                 np.array(cfg.x) if len(cfg.x) > 1 else cfg.x[0],
-                mu, proc, cfg.horizons, cfg.n_paths,
+                mu, _free_process(alpha, cfg.dim), cfg.horizons, cfg.n_paths,
                 _derive_seed(cfg.seed, idx), cfg.dt,
                 smoothing_eps=_auto_eps(cfg, mu), coupling=cfg.coupling,
             )
@@ -703,7 +708,7 @@ def _run_rotation_check(cfg: ExperimentConfig, threads: int) -> RunResult:
     mu = cfg.measure
     res = rotation_invariance_check(
         mu,
-        cfg.process,
+        _free_process(cfg.alpha, cfg.dim),
         np.array(cfg.x) if len(cfg.x) > 1 else cfg.x[0],
         np.array(cfg.q_matrix),
         cfg.horizons[0],

@@ -23,10 +23,8 @@ with M = max(rho, s), m = min(rho, s), evaluated by ``scipy.special.hyp2f1``
 on whole arrays. At m = M the series converges exactly when alpha > 1.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -38,76 +36,27 @@ from .errors import (
 )
 
 __all__ = [
-    "FreeSpace",
-    "BoundedBall",
     "KernelModel",
     "green_constant",
     "riesz_kernel",
     "radial_shell_average",
     "shell_average_batch",
-    "boundary_green_profile",
     "sphere_surface_area",
 ]
 
 
 @dataclass(frozen=True)
-class FreeSpace:
-    """Kernel comparable to the free-space Riesz kernel, c_lower <= ratio <= c_upper."""
-
-    c_lower: float = 1.0
-    c_upper: float = 1.0
-
-    def __post_init__(self):
-        if not (0 < self.c_lower <= self.c_upper):
-            raise ValueError("need 0 < c_lower <= c_upper")
-
-
-@dataclass(frozen=True)
-class BoundedBall:
-    """Absorbing ball of given radius; Green function vanishes at the boundary."""
-
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("ball radius must be positive")
-
-
-@dataclass(frozen=True)
 class KernelModel:
-    """Stability index, dimension and domain variant for one Green function.
-
-    ``boundary_exponent`` is the rate at which the bounded-domain Green
-    function vanishes at the boundary: 1 for alpha = 2, alpha - 1 for
-    alpha in (1, 2). It is derived from alpha; passing it explicitly only
-    validates the value.
-    """
+    """Stability index and dimension of one free-space Green function."""
 
     alpha: float
     dim: int
-    variant: FreeSpace | BoundedBall = field(default_factory=FreeSpace)
-    boundary_exponent: float | None = None
 
     def __post_init__(self):
         if not (0 < self.alpha <= 2):
             raise AlphaOutOfRange(f"alpha must be in (0, 2], got {self.alpha}")
         if self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        if isinstance(self.variant, BoundedBall):
-            if self.alpha <= 1:
-                raise AlphaOutOfRange(
-                    "bounded-ball model requires alpha in (1, 2] "
-                    "(boundary exponent undefined otherwise)"
-                )
-            beta = 1.0 if self.alpha == 2 else self.alpha - 1.0
-            if self.boundary_exponent is None:
-                object.__setattr__(self, "boundary_exponent", beta)
-            elif self.boundary_exponent != beta:
-                raise ValueError(
-                    f"boundary_exponent must be {beta} for alpha={self.alpha}"
-                )
-        elif self.boundary_exponent is not None:
-            raise ValueError("boundary_exponent only applies to BoundedBall")
 
     def require_transient(self):
         if self.dim <= self.alpha:
@@ -134,24 +83,13 @@ def green_constant(alpha: float, dim: int) -> float:
 
 
 def riesz_kernel(x, y, model: KernelModel) -> float:
-    """Idealized kernel |x - y|^(alpha - dim) for the free-space model."""
-    if isinstance(model.variant, BoundedBall):
-        raise ValueError("riesz_kernel is the free-space kernel; got BoundedBall")
+    """Idealized kernel |x - y|^(alpha - dim)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dist = float(np.linalg.norm(x - y))
     if dist == 0.0:
         raise CoincidentPoints("riesz_kernel at x == y")
     return dist ** (model.alpha - model.dim)
-
-
-def boundary_green_profile(delta_y: float, model: KernelModel) -> float:
-    """Boundary decay factor delta^beta of the bounded-ball Green function."""
-    if not isinstance(model.variant, BoundedBall):
-        raise ValueError("boundary_green_profile requires a BoundedBall model")
-    if delta_y < 0:
-        raise ValueError("distance to the boundary must be nonnegative")
-    return delta_y**model.boundary_exponent
 
 
 def radial_shell_average(rho: float, s: float, alpha: float, dim: int) -> float:

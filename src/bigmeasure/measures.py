@@ -89,6 +89,11 @@ class Seq:
     def table_len(self) -> int:
         return 0 if self.values is None else len(self.values)
 
+    @property
+    def truncated(self) -> bool:
+        """A table without a tail rule: undefined beyond its last entry."""
+        return not self.is_parametric and self.tail_exponent is None
+
     def tail_power(self) -> Optional[float]:
         """Exponent governing value(n) for large n, None when undefined."""
         return self.exponent if self.is_parametric else self.tail_exponent
@@ -193,6 +198,11 @@ class SphereSeries:
     def parametric(cls, p: float, r: float) -> "SphereSeries":
         """s_n = n^p."""
         return cls(radii=Seq.power(p), r=r)
+
+    def series_exponent(self, alpha: float) -> Optional[float]:
+        """Exponent e with s_n^(alpha-1-r) ~ n^e, None when the tail is unknown."""
+        tp = self.radii.tail_power()
+        return None if tp is None else tp * (alpha - 1.0 - self.r)
 
 
 @dataclass(frozen=True)
@@ -316,10 +326,7 @@ def _safe_index(real_index: np.ndarray) -> np.ndarray:
 
 def _seq_hard_cap(mu: AnnulusSeries) -> Optional[int]:
     """Last n the family is defined at, None if unbounded."""
-    caps = []
-    for seq in (mu.growth, mu.gap):
-        if not seq.is_parametric and seq.tail_exponent is None:
-            caps.append(seq.table_len)
+    caps = [seq.table_len for seq in (mu.growth, mu.gap) if seq.truncated]
     return min(caps) if caps else None
 
 
@@ -381,7 +388,7 @@ def _shell_hits(mu: SphereSeries, s: np.ndarray, eps: float):
                 base[beyond] = _safe_index(
                     np.round(len(vals) * (s[beyond] / vals[-1]) ** (1.0 / seq.tail_exponent))
                 )
-    cap = seq.table_len if (not seq.is_parametric and seq.tail_exponent is None) else None
+    cap = seq.table_len if seq.truncated else None
     hit = np.zeros(s.shape, dtype=bool)
     radius = np.zeros_like(s)
     nhits = np.zeros(s.shape, dtype=np.int64)

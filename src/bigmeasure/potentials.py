@@ -29,7 +29,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import GaugeOutOfRange, HypothesisViolated, NonConvergedQuadrature
-from .kernels import FreeSpace, KernelModel, shell_average_batch, sphere_surface_area
+from .kernels import KernelModel, shell_average_batch, sphere_surface_area
 from .measures import (
     AnnulusSeries,
     BoundaryPower,
@@ -46,7 +46,6 @@ __all__ = [
     "RadialTable",
     "riesz_potential",
     "gauge_weighted_potential",
-    "potential_profile",
     "DecayCheck",
     "potential_decay_check",
 ]
@@ -221,11 +220,6 @@ def _real_index(seq: Seq, rho: float) -> float:
     return seq.table_len * (rho / float(vals[-1])) ** (1.0 / seq.tail_exponent)
 
 
-def _series_exponent_sphere(mu: SphereSeries, alpha: float) -> Optional[float]:
-    tp = mu.radii.tail_power()
-    return None if tp is None else tp * (alpha - 1.0 - mu.r)
-
-
 def _interval_batch(a, w, rho, integrand, tol):
     """Integrate over the disjoint intervals [a_i, a_i + w_i].
 
@@ -341,11 +335,7 @@ def _window_series_potential(mu, rho, model, gfun, g_tail, g_top, tol):
         s = (a + half)[:, None] + half[:, None] * _GL_NODES
         return (integrand(s.ravel()).reshape(s.shape) @ _GL_WEIGHTS) * half
 
-    caps = [
-        seq.table_len
-        for seq in (mu.growth, mu.gap)
-        if not seq.is_parametric and seq.tail_exponent is None
-    ]
+    caps = [seq.table_len for seq in (mu.growth, mu.gap) if seq.truncated]
     hard_cap = min(caps) if caps else None
     head_n = _DIRECT_HEAD
     for seq in (mu.growth, mu.gap):
@@ -427,15 +417,14 @@ def _sphere_series_potential(mu, rho, model, gfun, g_tail, g_top, tol):
     def f(x):
         return atom_terms(_real_seq_value(seq, x))
 
-    truncated = not seq.is_parametric and seq.tail_exponent is None
-    head_n = seq.table_len if truncated else max(_DIRECT_HEAD, seq.table_len)
-    if g_top is not None and not truncated:
+    head_n = seq.table_len if seq.truncated else max(_DIRECT_HEAD, seq.table_len)
+    if g_top is not None and not seq.truncated:
         head_n = max(head_n, int(math.ceil(_real_index(seq, g_top))) + 1)
     if head_n > _MAX_DIRECT:
         raise ValueError(f"too many shells to enumerate ({head_n})")
 
     head_terms = atom_terms(seq(np.arange(1, head_n + 1)))
-    exponent = _series_exponent_sphere(mu, alpha)
+    exponent = mu.series_exponent(alpha)
     witness = {"tail_exponent": exponent, "threshold": -1.0}
     if not np.all(np.isfinite(head_terms)):
         # a shell sits exactly at the probe radius and alpha <= 1
@@ -446,7 +435,7 @@ def _sphere_series_potential(mu, rho, model, gfun, g_tail, g_top, tol):
     compact = value
     terms = head_n
 
-    if truncated:
+    if seq.truncated:
         witness["truncated_at"] = head_n
         return PotentialResult(value, False, 0.0, terms, compact, witness)
 
@@ -548,7 +537,7 @@ def _bare_divergent(mu: MeasureSpec, alpha: float) -> bool:
         e = mu.series_exponent(alpha)
         return e is not None and e >= -1.0
     if isinstance(mu, SphereSeries):
-        e = _series_exponent_sphere(mu, alpha)
+        e = mu.series_exponent(alpha)
         return e is not None and e >= -1.0
     if isinstance(mu, BoundaryPower):
         return mu.r >= 1.0
@@ -556,11 +545,6 @@ def _bare_divergent(mu: MeasureSpec, alpha: float) -> bool:
 
 
 def _radial_potential(mu, rho, model, gfun, g_tail, g_top, tol) -> PotentialResult:
-    if not isinstance(model.variant, FreeSpace):
-        raise ValueError(
-            "potentials are computed for the free-space kernel; "
-            "the absorbing-ball model is handled by simulation"
-        )
     model.require_transient()
     if gfun is not None and g_tail is None and _bare_divergent(mu, model.alpha):
         raise ValueError(
@@ -606,19 +590,6 @@ def gauge_weighted_potential(
     else:
         raise TypeError("gauge must be a RadialTable or a callable of the radius")
     return _radial_potential(mu, _probe_radius(x), model, gfun, g_tail, g_top, float(tol))
-
-
-def potential_profile(
-    mu: MeasureSpec, radii, model: KernelModel, gauge=None, tol: float = 1e-9
-) -> np.ndarray:
-    """Potential values at several probe radii (inf where divergent)."""
-    out = []
-    for rr in np.atleast_1d(np.asarray(radii, dtype=float)):
-        if gauge is None:
-            out.append(riesz_potential(mu, rr, model, tol).value)
-        else:
-            out.append(gauge_weighted_potential(mu, gauge, rr, model, tol).value)
-    return np.asarray(out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import NotOrthogonal, SingularMeasure
+from .errors import NotOrthogonal
 from .kernels import KernelModel, green_constant
 from .measures import BoundaryPower, MeasureSpec, PowerWeight, radial_weight_fn
 from .potentials import RadialTable, gauge_weighted_potential, riesz_potential
@@ -36,14 +36,10 @@ __all__ = [
     "ProcessSpec",
     "PathConfig",
     "GaugeCurve",
-    "McEstimate",
     "positive_stable_sample",
     "sample_increment",
-    "PcafScheme",
-    "accumulate_pcaf",
     "gauge_checkpoint_samples",
     "estimate_gauge",
-    "estimate_survival_constant",
     "expected_pcaf_oracle",
     "verify_integral_identity",
     "rotation_invariance_check",
@@ -137,13 +133,6 @@ class GaugeCurve:
         ]
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    mean: float
-    stderr: float
-    n: int
-
-
 # ---------------------------------------------------------------------------
 # increments
 
@@ -216,54 +205,6 @@ def _as_start(x, dim: int) -> np.ndarray:
     if v.shape != (dim,):
         raise ValueError(f"start point has shape {v.shape}, expected ({dim},)")
     return v.copy()
-
-
-# ---------------------------------------------------------------------------
-# additive functional
-
-
-@dataclass(frozen=True)
-class PcafScheme:
-    """Accumulation rule: time step, shell smoothing, coupling, absorption.
-
-    coupling scales the measure (the functional of c*mu is c times the
-    functional of mu); absorb_radius freezes accumulation at the first
-    sampled position on or outside that radius.
-    """
-
-    dt: float
-    smoothing_eps: Optional[float] = None
-    coupling: float = 1.0
-    absorb_radius: Optional[float] = None
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.coupling < 0:
-            raise ValueError("coupling must be nonnegative")
-
-
-def accumulate_pcaf(positions, mu: Optional[MeasureSpec], scheme: PcafScheme) -> float:
-    """Left-endpoint Riemann sum of w(X_t) dt along sampled positions.
-
-    positions has shape (n_steps + 1, dim): the start point followed by the
-    position after each step.  Raises SingularMeasure for a sphere-series
-    measure without a smoothing width (radial_weight_fn enforces it).
-    """
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2 or pos.shape[0] < 2:
-        raise ValueError("positions must be (n_steps + 1, dim) with n_steps >= 1")
-    w = radial_weight_fn(mu, scheme.smoothing_eps)
-    radii = np.linalg.norm(pos, axis=1)
-    left = radii[:-1]
-    if scheme.absorb_radius is not None:
-        outside = radii >= scheme.absorb_radius
-        if outside[0]:
-            return 0.0
-        hit = np.flatnonzero(outside)
-        if hit.size:
-            left = left[: hit[0]]
-    return scheme.coupling * scheme.dt * float(np.sum(w(left)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,35 +306,6 @@ def estimate_gauge(
         start=tuple(_as_start(x, process.dim)),
         measure="zero" if mu is None else repr(mu),
     )
-
-
-def estimate_survival_constant(
-    mu: Optional[MeasureSpec],
-    process: ProcessSpec,
-    x_list,
-    horizon: float,
-    n_paths: int,
-    seed: int,
-    dt: float,
-    smoothing_eps: Optional[float] = None,
-    coupling: float = 1.0,
-    threads: int = 1,
-):
-    """ghat(x, T) at several starts, independent seeds per start.
-
-    The gauge plateau is either zero everywhere or positive everywhere, so
-    comparing these estimates (all positive at 3 sigma, or all consistent
-    with 0) probes the constancy of the limit; the finite-T values
-    themselves still depend on |x|.
-    """
-    results = []
-    for j, x in enumerate(x_list):
-        curve = estimate_gauge(
-            x, mu, process, [horizon], n_paths, _derive_seed(seed, j), dt,
-            smoothing_eps=smoothing_eps, coupling=coupling, threads=threads,
-        )
-        results.append(McEstimate(float(curve.ghat[-1]), float(curve.stderr[-1]), n_paths))
-    return results
 
 
 # ---------------------------------------------------------------------------

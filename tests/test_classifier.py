@@ -250,6 +250,38 @@ def test_overflowing_witness_sums_are_strict_json():
     assert json.loads(s.to_row()["witness"], parse_constant=reject)["partial_sum"] == "overflow"
 
 
+def test_steep_convergent_annulus_marks_are_finite():
+    # f(n)^(alpha-r) leaves the float range while the terms themselves do not
+    import json
+    import warnings
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    # n^150 overflows and n^-400 underflows; the terms are n^-250 after n = 1
+    steep = AnnulusSeries.parametric(p=100.0, q=400.0, r=0.0)
+    # f(n) = 1e250 n/2 and h(n) = 1e-200 (n/2)^-3 past n = 1: f^1.5 overflows,
+    # the term 1e175 (n/2)^-1.5 does not
+    tabulated = AnnulusSeries(
+        growth=Seq.table([1.0, 1e250], tail_exponent=1.0),
+        gap=Seq.table([1.0, 1e-200], tail_exponent=-3.0),
+        r=0.0,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdicts = [classify(steep, 1.5, 3), classify(tabulated, 1.5, 3)]
+    marks = []
+    for v in verdicts:
+        assert v.conclusion is Conclusion.NON_BIG
+        marks.append(json.loads(v.to_row()["witness"], parse_constant=reject)["partial_sums"])
+    assert list(marks[0]) == ["10", "100", "1000", "10000", "100000", "1000000"]
+    for value in marks[0].values():
+        assert value == pytest.approx(1.0, rel=1e-12)
+    terms = [1.0] + [1e175 * (n / 2.0) ** -1.5 for n in range(2, 10**6 + 1)]
+    for mark, value in marks[1].items():
+        assert value == pytest.approx(math.fsum(terms[: int(mark)]), rel=1e-12)
+
+
 def test_volume_decay_report_worked_example():
     # decaying window volumes (q > p d) with a NonBig verdict: not paradoxical
     rep = volume_decay_report(p=0.5, q=2.0, r=0.0, alpha=1.5, dim=3)

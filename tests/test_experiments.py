@@ -3,12 +3,18 @@
 import csv
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bigmeasure.cli import run_cli
-from bigmeasure.errors import ParseError, ValidationError
+from bigmeasure.errors import ConfigError, ParseError, ValidationError
 from bigmeasure.experiments import (
+    _ALLOWED,
+    _COMMON_KEYS,
+    TASKS,
     GAUGE_COLUMNS,
     config_digest,
     load_config,
@@ -129,13 +135,97 @@ def test_grid_parameter_rules():
         validate_config({**base, "grid": {}})
 
 
-def test_process_must_agree_with_model():
-    cfg = _sim_config(process={"kind": "stable", "alpha": 1.2})
-    with pytest.raises(ValidationError, match="must match the top-level alpha"):
+def test_process_key_is_rejected(tmp_path, capsys):
+    # alpha and dim fix the process; a 'process' key is an unknown key
+    for task, cfg in (
+        ("simulate", _sim_config(process={"kind": "brownian", "alpha": "x"})),
+        ("sweep", {"task": "sweep", "alpha": 1.5, "dim": 3, "grid": {"p": [-2.0, -1.0]},
+                   "measure": {"family": "power_weight", "p": -1.0},
+                   "process": {"kind": "stable", "alpha": "x"}}),
+        ("rotation-check", {"task": "rotation-check", "alpha": 1.5, "dim": 3,
+                            "measure": {"family": "power_weight", "p": -4.0}, "seed": 1,
+                            "n_paths": 10, "dt": 0.1, "horizon": 1.0, "x": 1.0,
+                            "q_matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                            "process": {"kind": "stable", "alpha": 1.5, "dim": 3}}),
+    ):
+        with pytest.raises(ValidationError, match=f"unknown key 'process' for task {task}"):
+            validate_config(cfg)
+    path = _write(tmp_path, "sim.json", _sim_config(process={"kind": "brownian", "alpha": "x"}))
+    assert run_cli(["simulate", "--config", path]) == 2
+    assert "unknown key 'process' for task simulate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["seed", "n_paths", "dim", "table_paths"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_nonfinite_integer_keys_are_collected(key, value):
+    cfg = {"task": "verify-identity", "alpha": 2.0, "dim": 3,
+           "measure": {"family": "boundary_power", "r": 0.5}, "seed": 1, "n_paths": 10,
+           "dt": 0.01, "horizon": 1.0, "x": 0.0, "table_paths": 4, key: value}
+    with pytest.raises(ValidationError, match=f"'{key}' must be a finite number"):
         validate_config(cfg)
-    cfg = _sim_config(alpha=1.5, process={"kind": "brownian"})
-    with pytest.raises(ValidationError, match="requires alpha = 2"):
+
+
+def test_integer_keys_reject_fractions_but_take_integral_floats():
+    with pytest.raises(ValidationError, match="'dim' must be an integer, got 2.5"):
+        validate_config(_sim_config(dim=2.5, x=0.0))
+    with pytest.raises(ValidationError, match="'n_paths' must be an integer, got 10.9"):
+        validate_config(_sim_config(n_paths=10.9))
+    cfg = validate_config(_sim_config(dim=3.0, n_paths=200.0, seed=91.0))
+    assert (cfg.dim, cfg.n_paths, cfg.seed) == (3, 200, 91)
+    assert all(type(v) is int for v in (cfg.dim, cfg.n_paths, cfg.seed))
+
+
+def test_nonfinite_numbers_in_lists_and_measures_are_collected():
+    for over, msg in (
+        ({"x": [1.0, 2.0, math.nan]}, "'x' must be a number"),
+        ({"horizons": [1.0, math.inf]}, "'horizons' must be a nonempty list"),
+        ({"measure": {"family": "power_weight", "p": math.nan}}, "must be finite"),
+        ({"measure": {"family": "power_weight", "p": 10**400}}, "must be finite"),
+        ({"alpha": math.nan}, "'alpha' must be a finite number"),
+    ):
+        with pytest.raises(ValidationError, match=msg):
+            validate_config(_sim_config(**over))
+
+
+def test_grid_with_unhashable_family_is_collected():
+    cfg = {"task": "sweep", "alpha": 1.5, "dim": 3, "measure": {"family": {}},
+           "grid": {"p": [1.0, 2.0]}}
+    with pytest.raises(ValidationError, match="measure.family must be one of"):
         validate_config(cfg)
+
+
+_FAMILIES = ["power_weight", "annulus_series", "sphere_series", "boundary_power"]
+_MEASURE_KEYS = ["family", "p", "q", "r", "radius", "growth", "gap", "radii",
+                 "tail_exponent", "exponent", "table"]
+_CONFIG_KEYS = sorted(_COMMON_KEYS.union(*_ALLOWED.values()))
+_json_leaf = (
+    st.none() | st.booleans() | st.integers(-(10**20), 10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4) | st.sampled_from(_FAMILIES + list(TASKS))
+)
+_json = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_MEASURE_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+_measure = st.fixed_dictionaries(
+    {"family": st.sampled_from(_FAMILIES) | _json},
+    optional={k: _json for k in _MEASURE_KEYS if k != "family"},
+)
+_config = st.fixed_dictionaries(
+    {"task": st.sampled_from(TASKS) | _json},
+    optional={k: (_measure if k == "measure" else _json) for k in _CONFIG_KEYS if k != "task"},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_config | _json)
+def test_validate_config_raises_only_config_errors(raw):
+    try:
+        validate_config(raw)
+    except ConfigError:
+        pass
 
 
 def test_digest_ignores_output_path():

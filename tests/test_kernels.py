@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 
 from bigmeasure.errors import AlphaOutOfRange, CoincidentPoints, NotTransient
 from bigmeasure.kernels import (
-    BoundedBall,
-    FreeSpace,
     KernelModel,
-    boundary_green_profile,
     green_constant,
     radial_shell_average,
     riesz_kernel,
@@ -191,8 +188,6 @@ def test_riesz_kernel_basics():
     assert riesz_kernel([0, 0, 0], [2, 0, 0], model) == pytest.approx(2.0**-1.5)
     with pytest.raises(CoincidentPoints):
         riesz_kernel([1.0, 0, 0], [1.0, 0, 0], model)
-    with pytest.raises(ValueError):
-        riesz_kernel([0, 0, 0], [1, 0, 0], KernelModel(2.0, 3, BoundedBall(1.0)))
 
 
 def test_green_constant_values():
@@ -213,26 +208,10 @@ def test_sphere_surface_area():
 
 
 def test_kernel_model_validation():
-    m = KernelModel(2.0, 3, BoundedBall(1.0))
-    assert m.boundary_exponent == 1.0
-    m = KernelModel(1.5, 3, BoundedBall(2.0))
-    assert m.boundary_exponent == pytest.approx(0.5)
-    with pytest.raises(AlphaOutOfRange):
-        KernelModel(1.0, 3, BoundedBall(1.0))
-    with pytest.raises(ValueError):
-        KernelModel(1.5, 3, BoundedBall(1.0), boundary_exponent=0.7)
     with pytest.raises(AlphaOutOfRange):
         KernelModel(2.3, 3)
+    with pytest.raises(ValueError):
+        KernelModel(1.5, 0)
     with pytest.raises(NotTransient):
         KernelModel(2.0, 2).require_transient()
-    with pytest.raises(ValueError):
-        FreeSpace(c_lower=2.0, c_upper=1.0)
-
-
-def test_boundary_green_profile():
-    m = KernelModel(2.0, 3, BoundedBall(1.0))
-    assert boundary_green_profile(0.25, m) == pytest.approx(0.25)
-    m = KernelModel(1.5, 3, BoundedBall(1.0))
-    assert boundary_green_profile(0.25, m) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        boundary_green_profile(0.25, KernelModel(1.5, 3))
+    KernelModel(1.5, 3).require_transient()

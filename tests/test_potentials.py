@@ -19,7 +19,6 @@ from bigmeasure.potentials import (
     RadialTable,
     gauge_weighted_potential,
     potential_decay_check,
-    potential_profile,
     riesz_potential,
 )
 
@@ -249,13 +248,6 @@ def test_value_dominates_compact_part():
     for mu, rho, model in cases:
         res = riesz_potential(mu, rho, model)
         assert res.value >= res.compact_part - 1e-12
-
-
-def test_potential_profile_marks_divergence():
-    prof = potential_profile(PowerWeight(-1.0), [0.0, 1.0], M23)
-    assert np.all(np.isinf(prof))
-    prof = potential_profile(PowerWeight(-4.0), [1.0, 2.0, 4.0], M23)
-    assert np.all(np.isfinite(prof)) and np.all(np.diff(prof) < 0)
 
 
 def test_decay_check_passes_for_fast_decay():

@@ -18,11 +18,8 @@ from bigmeasure.simulate import (
     Brownian,
     IsotropicStable,
     PathConfig,
-    PcafScheme,
     absorbed_pcaf_sample,
-    accumulate_pcaf,
     estimate_gauge,
-    estimate_survival_constant,
     expected_pcaf_oracle,
     gauge_checkpoint_samples,
     positive_stable_sample,
@@ -79,33 +76,48 @@ def test_stable_increment_characteristic_function():
     assert one.shape == (3,)
 
 
-def test_accumulate_pcaf_synthetic_paths():
-    # constant weight: A_T = T exactly
-    line = np.zeros((51, 3))
-    line[:, 0] = np.linspace(0.0, 2.0, 51)
-    a = accumulate_pcaf(line, PowerWeight(0.0), PcafScheme(dt=0.1))
-    assert a == pytest.approx(5.0, abs=1e-12)
-
-    # path that never meets the support contributes nothing
-    far = line + np.array([5.0, 0.0, 0.0])
-    assert accumulate_pcaf(far, BoundaryPower(0.0, 1.0), PcafScheme(dt=0.1)) == 0.0
-
-    # coupling scales linearly
-    a2 = accumulate_pcaf(line, PowerWeight(0.0), PcafScheme(dt=0.1, coupling=0.25))
-    assert a2 == pytest.approx(0.25 * a)
-
-    # absorption freezes the sum at the first exit, re-entry does not count
-    path = np.zeros((6, 3))
-    path[:, 0] = [0.0, 0.5, 1.4, 0.2, 0.3, 0.4]
-    frozen = accumulate_pcaf(path, PowerWeight(0.0), PcafScheme(dt=1.0, absorb_radius=1.0))
-    assert frozen == pytest.approx(2.0)  # left endpoints 0.0 and 0.5 only
-    started_out = accumulate_pcaf(
-        path + np.array([3.0, 0, 0]), PowerWeight(0.0), PcafScheme(dt=1.0, absorb_radius=1.0)
+def test_constant_weight_checkpoints_are_exact():
+    # A_T of the unit weight counts the steps: exp(-c dt k) at checkpoint k
+    dt = 0.1
+    k = np.array([1, 5, 20])
+    samples, realized = gauge_checkpoint_samples(
+        0.0, PowerWeight(0.0), Brownian(3), dt * k, 6, 3, dt
     )
-    assert started_out == 0.0
+    np.testing.assert_allclose(realized, dt * k, rtol=1e-15)
+    np.testing.assert_array_equal(samples, np.broadcast_to(np.exp(-dt * k), samples.shape))
 
+    # the exponent is linear in the coupling
+    quarter, _ = gauge_checkpoint_samples(
+        0.0, PowerWeight(0.0), Brownian(3), dt * k, 6, 3, dt, coupling=0.25
+    )
+    np.testing.assert_allclose(np.log(quarter), 0.25 * np.log(samples), rtol=1e-14)
+
+
+def test_path_far_from_the_support_accumulates_nothing():
+    samples, _ = gauge_checkpoint_samples(
+        [50.0, 0.0, 0.0], BoundaryPower(0.0, 1.0), Brownian(3), [1.0], 20, 5, 0.1
+    )
+    assert np.all(samples == 1.0)
+
+
+def test_absorbed_unit_weight_counts_steps_to_exit():
+    dt, t_cap = 0.01, 0.5
+    vals, exited = absorbed_pcaf_sample(
+        PowerWeight(0.0), AbsorbingBrownianBall(3, 1.0), 100, 13, dt, t_cap=t_cap
+    )
+    steps = vals / dt
+    np.testing.assert_allclose(steps, np.round(steps), rtol=0.0, atol=1e-9)
+    assert np.all(steps >= 1.0)
+    assert np.all(vals <= t_cap * (1.0 + 1e-12))
+    # a censored path ran all the way to the cap
+    assert exited.any() and not exited.all()
+    np.testing.assert_allclose(vals[~exited], t_cap, rtol=1e-12)
+
+
+def test_sphere_series_walk_needs_smoothing():
+    mu = SphereSeries(radii=Seq.table([1.0]), r=0.0)
     with pytest.raises(SingularMeasure):
-        accumulate_pcaf(line, SphereSeries(radii=Seq.table([1.0]), r=0.0), PcafScheme(dt=0.1))
+        gauge_checkpoint_samples(0.0, mu, Brownian(3), [1.0], 2, 1, 0.1)
 
 
 def test_constant_weight_gauge_curve():
@@ -232,27 +244,6 @@ def test_rotation_invariance_check():
     q90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     res = rotation_invariance_check(mu, Brownian(3), [1.0, 0, 0], q90, 10.0, 800, 5, 0.02)
     assert res["passed"]
-
-
-def test_survival_constant_estimates():
-    flat = estimate_survival_constant(None, Brownian(3), [0.0, 3.0], 5.0, 30, 3, 0.1)
-    assert all(e.mean == 1.0 for e in flat)
-
-    ests = estimate_survival_constant(
-        BoundaryPower(0.0, 1.0), Brownian(3), [0.0, 5.0], 50.0, 1000, 17, 0.02
-    )
-    for e in ests:
-        assert e.mean - 3.0 * e.stderr > 0.0
-        assert e.n == 1000
-    # the far start has accumulated less by any fixed horizon
-    assert ests[1].mean > ests[0].mean
-
-    # Big case: the level is 0 at every start (divergence declaration < 0.02)
-    gone = estimate_survival_constant(
-        PowerWeight(-1.0), Brownian(3), [0.0, 5.0], 100.0, 600, 29, 0.05
-    )
-    for e in gone:
-        assert e.mean < 0.02
 
 
 def test_verify_identity_input_validation():
