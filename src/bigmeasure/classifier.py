@@ -62,8 +62,6 @@ __all__ = [
     "classify_boundary_weight",
     "classify_annulus",
     "classify_sphere_series",
-    "volume_decay_report",
-    "VolumeDecayReport",
     "divergence_by_potential",
 ]
 
@@ -198,18 +196,6 @@ def _mark(v) -> float | str:
     return v if math.isfinite(v) else "overflow"
 
 
-def _log_seq(seq: Seq, n: np.ndarray) -> np.ndarray:
-    """log seq(n), finite where seq(n) itself leaves the float range."""
-    if seq.is_parametric:
-        return seq.exponent * np.log(n)
-    cnt = seq.table_len
-    within = n <= cnt
-    out = np.empty_like(n)
-    out[within] = np.log(seq(n[within]))
-    out[~within] = math.log(seq.values[-1]) + seq.tail_exponent * np.log(n[~within] / cnt)
-    return out
-
-
 def _annulus_partial_sums(mu: AnnulusSeries, alpha: float, n_terms: int) -> dict:
     """Partial sums of f(n)^(alpha-r) h(n) at the decade marks up to n_terms.
 
@@ -235,7 +221,7 @@ def _annulus_partial_sums(mu: AnnulusSeries, alpha: float, n_terms: int) -> dict
         bad = ~np.isfinite(terms)
         if bad.any():
             nb = n[bad]
-            terms[bad] = np.exp((alpha - mu.r) * _log_seq(mu.growth, nb) + _log_seq(mu.gap, nb))
+            terms[bad] = np.exp((alpha - mu.r) * mu.growth.log(nb) + mu.gap.log(nb))
         sums = np.cumsum(terms)
         for m in _WITNESS_MARKS:
             if m > upto:
@@ -356,43 +342,6 @@ def classify(mu: MeasureSpec, alpha: float, dim: int, **kwargs) -> Verdict:
     if isinstance(mu, BoundaryPower):
         return classify_boundary_weight(mu.r, alpha, radius=mu.radius, dim=dim)
     raise TypeError(f"not a measure family: {type(mu).__name__}")
-
-
-@dataclass(frozen=True)
-class VolumeDecayReport:
-    """Window-volume growth against the verdict, for the annulus family.
-
-    volume_exponent is the growth order of vol(window n) = n^(p dim - q) at
-    r = 0 scaling; paradoxical means the window volumes decay (q > p dim)
-    while the measure is still Big.
-    """
-
-    p: float
-    q: float
-    r: float
-    alpha: float
-    dim: int
-    volume_exponent: float
-    total_volume_finite: bool
-    verdict: Verdict
-    paradoxical: bool
-
-
-def volume_decay_report(p: float, q: float, r: float, alpha: float, dim: int) -> VolumeDecayReport:
-    mu = AnnulusSeries.parametric(p=p, q=q, r=r)
-    verdict = classify_annulus(mu, alpha, dim)
-    vol_exp = p * dim - q
-    return VolumeDecayReport(
-        p=p,
-        q=q,
-        r=r,
-        alpha=alpha,
-        dim=dim,
-        volume_exponent=vol_exp,
-        total_volume_finite=vol_exp < -1.0,
-        verdict=verdict,
-        paradoxical=(q > p * dim) and verdict.is_big,
-    )
 
 
 def divergence_by_potential(mu: MeasureSpec, model: KernelModel, x0) -> Verdict:

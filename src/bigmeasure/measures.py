@@ -126,6 +126,22 @@ class Seq:
                 out[beyond] = vals[-1] * (n_arr[beyond] / cnt) ** self.tail_exponent
         return float(out[0]) if scalar else out
 
+    def log(self, n: np.ndarray) -> np.ndarray:
+        """log value(n), finite where value(n) itself leaves the float range.
+
+        NaN where a table entry (or the last one, for the tail) is not positive.
+        """
+        if self.is_parametric:
+            return self.exponent * np.log(n)
+        cnt = self.table_len
+        within = n <= cnt
+        out = np.empty_like(n)
+        out[within] = np.log(self(n[within]))
+        last = self.values[-1]
+        log_last = math.log(last) if last > 0 else math.nan
+        out[~within] = log_last + self.tail_exponent * np.log(n[~within] / cnt)
+        return out
+
 
 @dataclass(frozen=True)
 class PowerWeight:
@@ -286,10 +302,14 @@ def admissibility_check(growth: Seq, gap: Seq, n_max: int = 100_000) -> Admissib
             (gap.table_len or n_max) if not gap.is_parametric else n_max,
         )
     n = np.arange(1, limit, dtype=float)
-    a = growth(n)
-    b = a * (1.0 + gap(n))
-    a_next = growth(n + 1)
-    bad = (b > a_next * (1.0 + 1e-12)) | (np.diff(np.concatenate([[0.0], a])) <= 0) | (gap(n) <= 0)
+    # b_n = a_n (1 + h_n) <= a_{n+1} (1 + 1e-12), compared in log space so
+    # that steep sequences neither overflow nor underflow to a false verdict;
+    # the logs come from the rules, so only a nonpositive entry is not finite
+    with np.errstate(all="ignore"):
+        log_a, log_h = growth.log(n), gap.log(n)
+        overlap = log_a + np.logaddexp(0.0, log_h) > growth.log(n + 1) + math.log1p(1e-12)
+        rising = np.concatenate([[True], np.diff(log_a) > 0])
+    bad = overlap | ~rising | ~np.isfinite(log_a) | ~np.isfinite(log_h)
     hits = np.nonzero(bad)[0]
     if hits.size:
         return AdmissibilityResult(False, int(hits[0]) + 1, limit, "direct")

@@ -12,6 +12,28 @@ sampled path is the left-endpoint Riemann sum sum_k w(X_{t_k}) dt.  Gauge
 estimates ghat(x, T) = mean exp(-A_T) use common paths across horizons, so
 every estimated curve is nonincreasing in T path by path.
 
+Both walkers run on one block-walk kernel: cumulative increments, norms,
+weights at the left endpoints, and an optional stop at the first grid point
+with |X| >= a given radius.
+
+Excursion skip.  For Brownian motion in d = 3 and a BoundaryPower measure
+of radius R (weight 0 for |x| >= R), the gauge walker stops every time the
+path reaches |X| >= 2R and jumps over the excursion.  With probability
+1 - R/|X| the path never returns to the ball, so A is final at every later
+checkpoint.  Otherwise it first hits the sphere |x| = R at the time
+tau = (|X| - R)^2 / (2 Z^2), Z standard normal, which is the law
+P(tau <= t) = (R/r) erfc((r - R)/sqrt(4t)) for the generator Delta
+conditioned on a return.  The walk resumes at the first grid time after
+tau, at R e + sqrt(2 gap) N, with e a random unit vector, N a standard
+normal vector and gap the time from tau to that grid time.  The grid points
+skipped in between lie outside the ball and add exactly 0.  By the strong
+Markov property and rotation invariance the sampled A_T has exactly the law
+of the plain left-endpoint sum at every checkpoint, so
+``expected_pcaf_oracle`` stays its exact target; only the draws differ,
+and a path costs a few hundred steps instead of T/dt.  Stable processes and
+Brownian motion in d != 3 keep the plain walk: their hitting-time laws are
+not elementary.
+
 Reproducibility: path i draws from Philox keyed by (seed, i), so results are
 bit-identical for a fixed seed no matter how many worker threads fill the
 per-path table, and independent runs derive fresh seeds through SeedSequence.
@@ -208,6 +230,101 @@ def _as_start(x, dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the block walk
+
+# Absorbed paths sum their weights per logical block of this many steps.
+_ABSORBED_BLOCK = 4096
+# A walk that may stop early draws its first sub-block at this size.
+_FIRST_SUB_BLOCK = 256
+
+
+def _walk_block(process, dt, rng, pos, m, weight, stop_radius=math.inf):
+    """Walk one logical block of at most m steps from pos.
+
+    Returns (w, end, stopped).  w[k] is the weight at the k-th grid point
+    of the block (w[0] at pos), one per step taken; the walk stops after
+    the first step that lands at |X| >= stop_radius, and end is the last
+    position reached.
+
+    With a finite stop radius the increments are drawn lazily, in
+    sub-blocks of 256, 512, ... steps.  The running partial sum enters the
+    first increment of each sub-block before the cumsum, so the positions
+    and weights equal those of one m-step draw wherever the draws do not
+    interleave (Brownian increments).  Without a stop radius the block is
+    one draw.
+    """
+    lazy = stop_radius < math.inf
+    size = min(_FIRST_SUB_BLOCK, m) if lazy else m
+    radii = np.empty(m + 1)  # |X| at the grid points of the block
+    radii[0] = np.linalg.norm(pos)
+    carry = None
+    done = 0
+    while True:
+        k = min(size, m - done)
+        inc = sample_increment(process, dt, rng, k)
+        if carry is not None:
+            inc[0] += carry
+        np.cumsum(inc, axis=0, out=inc)
+        carry = inc[-1].copy()
+        inc += pos
+        right = radii[done + 1 : done + k + 1]
+        # np.linalg.norm(inc, axis=1), written straight into the buffer
+        np.sqrt(np.add.reduce(inc * inc, axis=1, out=right), out=right)
+        hit = np.flatnonzero(right >= stop_radius) if lazy else ()
+        if len(hit):
+            j = int(hit[0])
+            return weight(radii[: done + j + 1]), inc[j], True
+        done += k
+        if done == m:
+            return weight(radii[:m]), inc[-1], False
+        size *= 2
+
+
+def _excursion_skip_walk(process, dt, rng, start, steps_at, weight, radius):
+    """Left-endpoint weight sums at the checkpoints steps_at of one 3-d path.
+
+    The weight vanishes outside the ball of the given radius.  The path is
+    walked until |X| >= 2 radius; from there it either never comes back to
+    the ball (probability 1 - radius/|X|), or it hits the sphere at the time
+    (|X| - radius)^2 / (2 Z^2), Z standard normal, and restarts at the
+    first grid time after it, radius e + sqrt(2 gap) N away from the
+    centre.  The grid points skipped in between add exactly 0.
+    """
+    n_steps = int(steps_at[-1])
+    sums = np.empty(len(steps_at))
+    pos, g, total, c = start, 0, 0.0, 0
+    while g < n_steps:
+        r = float(np.linalg.norm(pos))
+        if r < 2.0 * radius:
+            w, pos, stopped = _walk_block(process, dt, rng, pos, n_steps - g, weight, 2.0 * radius)
+            w[0] += total
+            np.cumsum(w, out=w)
+            end = g + w.size
+            hi = np.searchsorted(steps_at, end, side="right")
+            sums[c:hi] = w[steps_at[c:hi] - 1 - g]
+            total, g, c = float(w[-1]), end, hi
+            if not stopped:
+                break
+            continue
+        if rng.random() >= radius / r:
+            break
+        z = rng.standard_normal()
+        if (r - radius) ** 2 >= 2.0 * z * z * dt * (n_steps - 1 - g):
+            break  # the path is back only after the last grid point
+        steps_to_hit = (r - radius) ** 2 / (2.0 * z * z) / dt
+        jump = int(steps_to_hit) + 1
+        gap = (jump - steps_to_hit) * dt
+        v = rng.standard_normal(6)
+        pos = radius * v[:3] / np.linalg.norm(v[:3]) + math.sqrt(2.0 * gap) * v[3:]
+        g += jump
+        hi = np.searchsorted(steps_at, g, side="right")
+        sums[c:hi] = total
+        c = hi
+    sums[c:] = total
+    return sums
+
+
+# ---------------------------------------------------------------------------
 # gauge estimation
 
 
@@ -248,7 +365,10 @@ def gauge_checkpoint_samples(
 
     Horizons snap to whole numbers of steps; the realized times are returned
     alongside the samples.  Path i is driven by Philox key (seed, i), so the
-    output is independent of the thread count.
+    output is independent of the thread count.  Brownian paths in d = 3
+    under a ball-supported BoundaryPower measure jump over their excursions
+    beyond twice the ball radius (see the module docstring); every other
+    path is one plain walk over the whole horizon.
     """
     _require_full_space(process, "gauge_checkpoint_samples")
     cfg = PathConfig(process, dt, tuple(horizons), tuple(_as_start(x, process.dim)), seed, n_paths)
@@ -258,19 +378,18 @@ def gauge_checkpoint_samples(
     n_steps = int(steps_at[-1])
     start = np.asarray(cfg.start)
     weight = radial_weight_fn(mu, smoothing_eps)
-    w0 = float(weight(np.array([float(np.linalg.norm(start))]))[0])
+    skip = isinstance(process, Brownian) and process.dim == 3 and isinstance(mu, BoundaryPower)
     out = np.empty((n_paths, len(steps_at)))
 
     def run_one(i):
         rng = _path_rng(seed, i)
-        inc = sample_increment(process, dt, rng, n_steps)
-        np.cumsum(inc, axis=0, out=inc)
-        inc += start
-        wa = np.empty(n_steps)
-        wa[0] = w0
-        wa[1:] = weight(np.linalg.norm(inc[:-1], axis=1))
-        np.cumsum(wa, out=wa)
-        out[i] = np.exp(-coupling * dt * wa[steps_at - 1])
+        if skip:
+            sums = _excursion_skip_walk(process, dt, rng, start, steps_at, weight, mu.radius)
+        else:
+            sums, _, _ = _walk_block(process, dt, rng, start, n_steps, weight)
+            np.cumsum(sums, out=sums)
+            sums = sums[steps_at - 1]
+        out[i] = np.exp(-coupling * dt * sums)
 
     _fill_by_path(run_one, n_paths, threads)
     return out, steps_at * dt
@@ -509,32 +628,21 @@ def absorbed_pcaf_sample(
         raise ValueError("start point must lie inside the ball")
     weight = radial_weight_fn(mu)
     n_cap = max(1, int(round(t_cap / dt)))
-    block = 4096
     values = np.empty(n_paths)
     exited = np.zeros(n_paths, dtype=bool)
 
     def run_one(i):
         rng = _path_rng(seed, i)
-        pos = x0.copy()
+        pos = x0
         acc = 0.0
         done = 0
         while done < n_cap:
-            m = min(block, n_cap - done)
-            inc = sample_increment(process, dt, rng, m)
-            np.cumsum(inc, axis=0, out=inc)
-            inc += pos
-            right = np.linalg.norm(inc, axis=1)
-            left = np.empty(m)
-            left[0] = np.linalg.norm(pos)
-            left[1:] = right[:-1]
-            hit = np.flatnonzero(right >= radius)
-            if hit.size:
-                k = int(hit[0])
-                acc += dt * float(np.sum(weight(left[: k + 1])))
+            m = min(_ABSORBED_BLOCK, n_cap - done)
+            w, pos, stopped = _walk_block(process, dt, rng, pos, m, weight, radius)
+            acc += dt * float(np.sum(w))
+            if stopped:
                 exited[i] = True
                 break
-            acc += dt * float(np.sum(weight(left)))
-            pos = inc[-1]
             done += m
         values[i] = acc
 

@@ -11,7 +11,6 @@ from bigmeasure.classifier import (
     classify_boundary_weight,
     classify_radial_weight,
     classify_sphere_series,
-    volume_decay_report,
 )
 from bigmeasure.errors import AlphaOutOfRange, NotAdmissible, NotTransient
 from bigmeasure.measures import AnnulusSeries, BoundaryPower, PowerWeight, Seq, SphereSeries
@@ -282,26 +281,6 @@ def test_steep_convergent_annulus_marks_are_finite():
         assert value == pytest.approx(math.fsum(terms[: int(mark)]), rel=1e-12)
 
 
-def test_volume_decay_report_worked_example():
-    # decaying window volumes (q > p d) with a NonBig verdict: not paradoxical
-    rep = volume_decay_report(p=0.5, q=2.0, r=0.0, alpha=1.5, dim=3)
-    assert rep.volume_exponent == pytest.approx(-0.5)
-    assert not rep.verdict.is_big
-    assert not rep.paradoxical
-
-    # decaying window volumes with a Big verdict: the interesting regime
-    rep = volume_decay_report(p=0.5, q=1.6, r=0.0, alpha=1.5, dim=3)
-    assert rep.volume_exponent == pytest.approx(-0.1)
-    assert rep.verdict.is_big
-    assert rep.paradoxical
-
-    # growing windows, Big, nothing paradoxical about that
-    rep = volume_decay_report(p=1.0, q=1.5, r=0.0, alpha=1.5, dim=3)
-    assert rep.volume_exponent == pytest.approx(1.5)
-    assert rep.verdict.is_big
-    assert not rep.paradoxical
-
-
 def test_partial_sums_reflect_the_series():
     # divergent case: partial sums keep growing; convergent case: they settle
     big = classify_annulus(AnnulusSeries.parametric(p=2.0, q=1.5, r=0.0), 1.5, 3)
@@ -352,3 +331,17 @@ def test_witness_cost_does_not_grow_with_n_terms():
     assert v.witness["terms_summed"] == 10**12
     assert set(v.witness["partial_sums"]) == {"10", "100", "1000", "10000", "100000", "1000000"}
     assert v.is_big
+
+
+def test_admissible_steep_mixed_annulus_is_classified_without_warnings():
+    # gap(n) = n^-400 underflows to 0 from n = 7 on and the tail growth
+    # 1e6 (n/3)^100 overflows; the windows are disjoint all the same
+    import warnings
+
+    mu = AnnulusSeries(
+        growth=Seq.table([1.0, 1e3, 1e6], tail_exponent=100.0), gap=Seq.power(-400.0), r=0.0
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = classify(mu, 1.5, 3)
+    assert verdict.conclusion is Conclusion.NON_BIG

@@ -1,12 +1,13 @@
 """Config validation, runners, CSV schemas, and CLI exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bigmeasure.cli import run_cli
@@ -14,6 +15,7 @@ from bigmeasure.errors import ConfigError, ParseError, ValidationError
 from bigmeasure.experiments import (
     _ALLOWED,
     _COMMON_KEYS,
+    _GRID_PARAMS,
     TASKS,
     GAUGE_COLUMNS,
     config_digest,
@@ -228,6 +230,81 @@ def test_validate_config_raises_only_config_errors(raw):
         pass
 
 
+_SMALL = st.floats(-3.0, 3.0, allow_nan=False)
+_MEASURES = {
+    "power_weight": st.fixed_dictionaries({"p": _SMALL}),
+    "annulus_series": st.fixed_dictionaries(
+        {"p": st.floats(0.25, 3.0), "q": st.floats(0.5, 5.0), "r": st.floats(0.0, 3.0)}),
+    "sphere_series": st.fixed_dictionaries({"p": st.floats(0.25, 4.0), "r": _SMALL}),
+    "boundary_power": st.fixed_dictionaries(
+        {"r": st.floats(0.0, 3.0)}, optional={"radius": st.floats(0.25, 2.0)}),
+}
+_GRID_VALUES = {"p": _SMALL, "q": st.floats(0.5, 5.0), "r": st.floats(0.0, 3.0),
+                "alpha": st.floats(0.1, 2.0)}
+
+
+@st.composite
+def _runnable_config(draw):
+    """A small config of any task: n_paths <= 8, horizons <= 1, dt >= 0.05."""
+    task = draw(st.sampled_from(TASKS))
+    dim = draw(st.integers(1, 5))
+    family = draw(st.sampled_from(sorted(_MEASURES)))
+    cfg = {"task": task, "alpha": draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]) | st.floats(0.1, 2.0)),
+           "dim": dim, "measure": {"family": family, **draw(_MEASURES[family])}}
+    coords = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+    point = st.floats(0.0, 3.0) | coords
+    dt = draw(st.floats(0.05, 0.5))
+    horizons = sorted(draw(st.sets(st.floats(dt, 1.0), min_size=1, max_size=2)))
+    mc = {"seed": draw(st.integers(0, 2**63)), "n_paths": draw(st.integers(1, 8)), "dt": dt,
+          "x": draw(point)}
+    if family == "sphere_series" or draw(st.booleans()):
+        mc["smoothing_eps"] = draw(st.floats(0.01, 0.5))
+    if task == "potential":
+        cfg.update({"x": draw(point)} if draw(st.booleans())
+                   else {"radii": sorted(draw(st.sets(st.floats(0.1, 8.0), min_size=1, max_size=3)))})
+    elif task == "decay-check" and draw(st.booleans()):
+        cfg["radii"] = sorted(draw(st.sets(st.floats(0.5, 64.0), min_size=2, max_size=4)))
+    elif task == "simulate":
+        cfg.update(mc, horizons=horizons, coupling=draw(st.floats(0.0, 2.0)))
+    elif task == "sweep":
+        legal = sorted(_GRID_PARAMS[family])
+        names = draw(st.lists(st.sampled_from(legal), min_size=1, max_size=2, unique=True))
+        cfg["grid"] = {n: draw(st.lists(_GRID_VALUES[n], min_size=1, max_size=3)) for n in names}
+        if draw(st.booleans()):
+            cfg.update(mc, simulate=True, horizon=horizons[-1])
+    elif task == "verify-identity":
+        cfg.update(alpha=2.0, dim=3, measure={"family": "boundary_power", "r": draw(st.floats(0.0, 0.9))})
+        mc.pop("smoothing_eps", None)
+        mc["x"] = draw(st.floats(0.0, 0.9))
+        cfg.update(mc, horizon=horizons[-1], table_paths=draw(st.integers(2, 4)),
+                   coupling=draw(st.floats(0.0, 1.0)))
+    elif task == "rotation-check":
+        perm = draw(st.permutations(range(dim)))
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=dim, max_size=dim))
+        cfg.update(mc, horizon=horizons[-1],
+                   q_matrix=[[signs[i] if j == perm[i] else 0.0 for j in range(dim)] for i in range(dim)])
+    return cfg
+
+
+_COMMAND = {"verify-identity": "verify", "rotation-check": "verify"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_runnable_config())
+def test_run_cli_on_valid_configs_never_crashes(cfg, tmp_path_factory):
+    try:
+        validate_config(cfg)
+    except ValidationError:
+        assume(False)
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli([_COMMAND.get(cfg["task"], cfg["task"]), "--config", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
 def test_digest_ignores_output_path():
     raw = _sim_config()
     assert config_digest(raw) == config_digest({**raw, "out": "elsewhere.csv"})
@@ -302,6 +379,17 @@ def test_simulate_schema_and_thread_independence():
         assert row["n_paths"] == "200"
         assert row["seed"] == "91"
         assert 0.0 < float(row["ghat"]) <= 1.0
+
+
+def test_boundary_power_simulate_bytes_do_not_depend_on_threads(tmp_path):
+    # Brownian in d = 3 on a ball measure takes the excursion skip
+    cfg = _sim_config(measure={"family": "boundary_power", "r": 0.5}, x=[1.5, 0.0, 0.0],
+                      horizons=[5.0, 50.0], n_paths=300, dt=0.02)
+    path = _write(tmp_path, "b.json", cfg)
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"t{threads}.csv")
+        assert run_cli(["simulate", "--config", path, "--threads", threads, "--out", out]) == 0
+    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
 
 def test_sweep_mc_column_deterministic():

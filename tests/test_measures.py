@@ -80,6 +80,26 @@ def test_admissibility_direct_scan():
     assert np.all(n**0.5 * (1 + n**-1.5) <= (n + 1) ** 0.5)
 
 
+def test_admissibility_direct_scan_in_log_space():
+    # an underflowed gap and an overflowed growth are not overlaps
+    res = admissibility_check(Seq.table([1.0, 1e3, 1e6], tail_exponent=100.0), Seq.power(-400.0))
+    assert res.ok and res.first_violation is None and res.mode == "direct"
+    # a tabulated prefix that really overlaps: b_2 = 2 * 2 > a_3 = 3
+    growth = Seq.table([1.0, 2.0, 3.0], tail_exponent=2.0)
+    res = admissibility_check(growth, Seq.table([1.0, 1.0], tail_exponent=-2.0))
+    assert not res.ok and res.first_violation == 2
+    # windows that touch exactly (b_n = a_{n+1}) pass
+    doubling = Seq.table([2.0**k for k in range(40)], tail_exponent=40.0)
+    assert admissibility_check(doubling, Seq.table([1.0], tail_exponent=-2.0)).first_violation is None
+    # the sign comes from the rule: a nonpositive entry is a violation
+    res = admissibility_check(Seq.power(2.0), Seq(values=(1.0, -0.5), tail_exponent=-2.0))
+    assert not res.ok and res.first_violation == 2
+    res = admissibility_check(Seq(values=(1.0, -2.0, 4.0)), Seq.power(-2.0))
+    assert not res.ok and res.first_violation == 2
+    res = admissibility_check(Seq.power(1.0), Seq(values=(1.0, 0.0), tail_exponent=-2.0))
+    assert not res.ok and res.first_violation == 2
+
+
 _EXPONENTS = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.floats(0.05, 4.0))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from bigmeasure.measures import (
     PowerWeight,
     SphereSeries,
     Seq,
+    radial_weight_fn,
 )
 from bigmeasure.potentials import riesz_potential
 from bigmeasure.simulate import (
@@ -270,3 +272,68 @@ def test_verify_identity_strong_coupling():
     )
     assert abs(res["z"]) <= 3.0
     assert res["ghat"] + res["potential_term"] == res["lhs"]
+
+
+def test_absorbed_walk_bytes_are_frozen():
+    # sha256 of (values, exited) recorded before the walk became one lazy
+    # block kernel: two logical blocks with censored paths, an off-centre
+    # start, and the criterion-07 boundary exponent
+    ball = AbsorbingBrownianBall(3, 1.0)
+    cases = [
+        (1.0, 2.5e-5, 0.2, None, "41b9677d955f69b85ae4f21ea96b6d4f217631c8b5ec5847ed033918e60427db"),
+        (0.5, 1e-3, 0.3, [0.3, -0.2, 0.1],
+         "bc76fa7d1cc5e6f7b8f1049b3872af2edeedd68c3f5077300bf42d22a98a5210"),
+        (3.0, 4e-4, 40.0, None, "beac3b5a49cb12d2707f35139e86c9b5a22058edadb514de0bd2c65e926d4242"),
+    ]
+    for r, dt, t_cap, start, digest in cases:
+        vals, exited = absorbed_pcaf_sample(
+            BoundaryPower(r, 1.0), ball, 40, 20260907, dt, t_cap=t_cap, start=start
+        )
+        assert hashlib.sha256(vals.tobytes() + exited.tobytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the excursion skip (Brownian in d = 3, measure supported in a ball)
+
+
+def test_excursion_skip_matches_the_discrete_oracle():
+    horizons = [10.0, 40.0]
+    for dt, radius, seed in ((0.04, 1.0, 901), (0.01, 0.5, 902)):
+        mu = BoundaryPower(0.0, radius)
+        samples, _ = gauge_checkpoint_samples(0.0, mu, Brownian(3), horizons, 20_000, seed, dt)
+        a = -np.log(samples)
+        for j, t in enumerate(horizons):
+            se = a[:, j].std(ddof=1) / math.sqrt(a.shape[0])
+            z = (a[:, j].mean() - expected_pcaf_oracle(mu, t, dt)) / se
+            assert abs(z) <= 3.0, (dt, t, z)
+
+
+def _plain_walk_pcaf(x, mu, horizons, n_paths, seed, dt):
+    """A_T at each horizon from the plain left-endpoint walk, no skip."""
+    rng = np.random.default_rng(seed)
+    weight = radial_weight_fn(mu)
+    steps = [int(round(t / dt)) for t in horizons]
+    pos = np.tile(np.asarray(x, dtype=float), (n_paths, 1))
+    acc = np.zeros(n_paths)
+    out = np.empty((n_paths, len(steps)))
+    for k in range(1, steps[-1] + 1):
+        acc += dt * weight(np.linalg.norm(pos, axis=1))
+        pos += math.sqrt(2.0 * dt) * rng.standard_normal(pos.shape)
+        if k in steps:
+            out[:, steps.index(k)] = acc
+    return out
+
+
+@pytest.mark.parametrize("x0", [1.5, 3.0])
+def test_excursion_skip_matches_the_plain_walk(x0):
+    # x0 = 1.5 starts between R and 2R, x0 = 3 beyond 2R
+    mu = BoundaryPower(0.0, 1.0)
+    horizons, dt, n = [2.0, 8.0], 0.05, 10_000
+    samples, _ = gauge_checkpoint_samples([x0, 0.0, 0.0], mu, Brownian(3), horizons, n, 911, dt)
+    skip = -np.log(samples)
+    plain = _plain_walk_pcaf([x0, 0.0, 0.0], mu, horizons, n, 912, dt)
+    assert np.all(np.diff(skip, axis=1) >= 0.0)
+    for j in range(len(horizons)):
+        se = math.hypot(skip[:, j].std(ddof=1), plain[:, j].std(ddof=1)) / math.sqrt(n)
+        z = (skip[:, j].mean() - plain[:, j].mean()) / se
+        assert abs(z) <= 3.0, (x0, horizons[j], z)
