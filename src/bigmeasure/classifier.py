@@ -37,7 +37,6 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -48,10 +47,9 @@ from .measures import (
     BoundaryPower,
     MeasureSpec,
     PowerWeight,
-    Seq,
     SphereSeries,
     describe,
-    require_admissible,
+    family_class,
 )
 
 __all__ = [
@@ -112,13 +110,6 @@ def _require_transient(alpha: float, dim: int):
         raise AlphaOutOfRange(f"alpha must be in (0, 2], got {alpha}")
     if dim <= alpha:
         raise NotTransient(f"need dim > alpha for a free-space Green function, got dim={dim}, alpha={alpha}")
-
-
-def _series_tail_decision(term_exponent: Optional[float]) -> Optional[bool]:
-    """Does sum n^e diverge? None when the exponent is unknown."""
-    if term_exponent is None:
-        return None
-    return term_exponent >= -1.0
 
 
 def classify_radial_weight(p: float, alpha: float, dim: int) -> Verdict:
@@ -206,13 +197,8 @@ def _annulus_partial_sums(mu: AnnulusSeries, alpha: float, n_terms: int) -> dict
     possibly against an underflowed h(n)) is taken in log space instead;
     marks whose sums still leave the float range read "overflow".
     """
-    upto = n_terms
-    head = _WITNESS_HEAD
-    for seq in (mu.growth, mu.gap):
-        head = max(head, seq.table_len)
-        if seq.truncated:
-            upto = min(upto, seq.table_len)
-    head = min(head, upto)
+    upto = n_terms if mu.hard_cap is None else min(n_terms, mu.hard_cap)
+    head = min(max([_WITNESS_HEAD] + [seq.table_len for seq in mu.seqs]), upto)
     n = np.arange(1, head + 1, dtype=float)
     exponent = mu.series_exponent(alpha)
     marks = {}
@@ -246,7 +232,7 @@ def classify_annulus(
     route needs alpha > 1).
     """
     _require_transient(alpha, dim)
-    require_admissible(mu, n_max=min(n_terms, 100_000))
+    mu.require_admissible(n_max=min(n_terms, 100_000))
     if mu.r > alpha:
         return _verdict(
             Conclusion.NON_BIG,
@@ -257,7 +243,7 @@ def classify_annulus(
             {"r": mu.r, "alpha": alpha},
         )
     exponent = mu.series_exponent(alpha)
-    diverges = _series_tail_decision(exponent)
+    diverges = mu.series_diverges(alpha)
     witness = {"series_term_exponent": exponent, "divergence_threshold": -1.0}
     witness.update(_annulus_partial_sums(mu, alpha, n_terms))
     if mu.growth.is_parametric and mu.gap.is_parametric:
@@ -302,7 +288,7 @@ def classify_sphere_series(
         )
     _require_transient(alpha, dim)
     exponent = mu.series_exponent(alpha)
-    diverges = _series_tail_decision(exponent)
+    diverges = mu.series_diverges(alpha)
     witness = {"series_term_exponent": exponent, "divergence_threshold": -1.0}
     if mu.radii.is_parametric:
         p = mu.radii.exponent
@@ -331,17 +317,19 @@ def classify_sphere_series(
     )
 
 
+# one rule per family; the lambdas look the rule functions up at call time,
+# so a wrapper rebound onto a module name is the one that runs
+_RULES = {
+    PowerWeight: lambda mu, alpha, dim, **_: classify_radial_weight(mu.p, alpha, dim),
+    AnnulusSeries: lambda mu, alpha, dim, **kw: classify_annulus(mu, alpha, dim, **kw),
+    SphereSeries: lambda mu, alpha, dim, **kw: classify_sphere_series(mu, alpha, dim, **kw),
+    BoundaryPower: lambda mu, alpha, dim, **_: classify_boundary_weight(mu.r, alpha, radius=mu.radius, dim=dim),
+}
+
+
 def classify(mu: MeasureSpec, alpha: float, dim: int, **kwargs) -> Verdict:
     """Dispatch to the family rule."""
-    if isinstance(mu, PowerWeight):
-        return classify_radial_weight(mu.p, alpha, dim)
-    if isinstance(mu, AnnulusSeries):
-        return classify_annulus(mu, alpha, dim, **kwargs)
-    if isinstance(mu, SphereSeries):
-        return classify_sphere_series(mu, alpha, dim, **kwargs)
-    if isinstance(mu, BoundaryPower):
-        return classify_boundary_weight(mu.r, alpha, radius=mu.radius, dim=dim)
-    raise TypeError(f"not a measure family: {type(mu).__name__}")
+    return _RULES[family_class(mu)](mu, alpha, dim, **kwargs)
 
 
 def divergence_by_potential(mu: MeasureSpec, model: KernelModel, x0) -> Verdict:
@@ -375,20 +363,10 @@ def divergence_by_potential(mu: MeasureSpec, model: KernelModel, x0) -> Verdict:
         "certificate": "rotation-invariant measure, free space, alpha in (1,2]",
     }
     conclusion = Conclusion.BIG if result.divergent else Conclusion.NON_BIG
-    if _tail_truncated(mu):
+    if mu.truncated:
         witness["note"] = (
             "tabulated sequence without a tail rule: the verdict applies to "
             "the truncated measure, not to any intended continuation"
         )
     return Verdict(conclusion, "potential-divergence", family, params, model.alpha, model.dim, witness)
 
-
-def _tail_truncated(mu: MeasureSpec) -> bool:
-    seqs: tuple[Seq, ...]
-    if isinstance(mu, AnnulusSeries):
-        seqs = (mu.growth, mu.gap)
-    elif isinstance(mu, SphereSeries):
-        seqs = (mu.radii,)
-    else:
-        return False
-    return any(s.truncated for s in seqs)

@@ -22,23 +22,15 @@ import numpy as np
 
 from . import __version__
 from .classifier import classify
-from .errors import HypothesisViolated, NotAdmissible, ParseError, ValidationError
+from .errors import HypothesisViolated, ParseError, ValidationError
 from .kernels import KernelModel
-from .measures import (
-    AnnulusSeries,
-    BoundaryPower,
-    PowerWeight,
-    Seq,
-    SphereSeries,
-    default_smoothing_eps,
-    describe,
-    require_admissible,
-)
+from .measures import FAMILIES, default_smoothing_eps, describe
 from .potentials import potential_decay_check, riesz_potential
 from .simulate import (
     Brownian,
     IsotropicStable,
     _derive_seed,
+    _snap_steps,
     estimate_gauge,
     rotation_invariance_check,
     verify_integral_identity,
@@ -90,12 +82,6 @@ _REQUIRED = {
     "sweep": {"grid"},
     "verify-identity": {"seed", "n_paths", "dt", "horizon", "x"},
     "rotation-check": {"seed", "n_paths", "dt", "horizon", "x", "q_matrix"},
-}
-_GRID_PARAMS = {
-    "power_weight": {"p", "alpha"},
-    "annulus_series": {"p", "q", "r", "alpha"},
-    "sphere_series": {"p", "r", "alpha"},
-    "boundary_power": {"r", "alpha"},
 }
 
 GAUGE_COLUMNS = ("measure_id", "family_params", "x", "T", "ghat", "stderr", "n_paths", "seed", "dt")
@@ -173,68 +159,9 @@ def load_config(path) -> ExperimentConfig:
     return validate_config(read_config(path))
 
 
-def _float(v) -> float:
-    """float(v) for a measure parameter; NaN, Infinity and out-of-range ints are errors."""
-    try:
-        f = float(v)
-    except OverflowError:
-        f = math.inf
-    if not math.isfinite(f):
-        raise ValueError(f"parameters must be finite numbers, got {v!r}")
-    return f
-
-
-def _seq_from_spec(obj, errors, label):
-    if not isinstance(obj, dict):
-        errors.append(f"{label} must be an object with 'exponent' or 'table'")
-        return None
-    keys = set(obj)
-    if keys == {"exponent"}:
-        try:
-            return Seq.power(_float(obj["exponent"]))
-        except (TypeError, ValueError) as e:
-            errors.append(f"{label}: {e}")
-    elif keys in ({"table"}, {"table", "tail_exponent"}):
-        try:
-            tail = obj.get("tail_exponent")
-            return Seq.table([_float(v) for v in obj["table"]], None if tail is None else _float(tail))
-        except (TypeError, ValueError) as e:
-            errors.append(f"{label}: {e}")
-    else:
-        errors.append(f"{label}: keys must be 'exponent' or 'table'[, 'tail_exponent'], got {sorted(keys)}")
-    return None
-
-
-def _seqs_from_spec(spec: dict, *labels) -> list:
-    errors = []
-    seqs = [_seq_from_spec(spec[label], errors, label) for label in labels]
-    if errors:
-        raise ValueError("; ".join(errors))
-    return seqs
-
-
 def _measure_from_spec(spec: dict):
     """Build the measure from a validated spec dict."""
-    family = spec["family"]
-    if family == "power_weight":
-        return PowerWeight(_float(spec["p"]))
-    if family == "annulus_series":
-        if "p" in spec:
-            return AnnulusSeries.parametric(p=_float(spec["p"]), q=_float(spec["q"]), r=_float(spec["r"]))
-        growth, gap = _seqs_from_spec(spec, "growth", "gap")
-        return AnnulusSeries(growth=growth, gap=gap, r=_float(spec["r"]))
-    if family == "sphere_series":
-        if "p" in spec:
-            return SphereSeries.parametric(p=_float(spec["p"]), r=_float(spec["r"]))
-        if isinstance(spec["radii"], dict):
-            (radii,) = _seqs_from_spec(spec, "radii")
-        else:
-            tail = spec.get("tail_exponent")
-            radii = Seq.table([_float(v) for v in spec["radii"]], None if tail is None else _float(tail))
-        return SphereSeries(radii=radii, r=_float(spec["r"]))
-    if family == "boundary_power":
-        return BoundaryPower(_float(spec["r"]), _float(spec.get("radius", 1.0)))
-    raise ValueError(f"unknown family {family!r}")
+    return FAMILIES[spec["family"]].from_spec(spec)
 
 
 def _validate_measure(obj, errors):
@@ -242,25 +169,12 @@ def _validate_measure(obj, errors):
         errors.append("measure must be an object with a 'family' key")
         return
     family = obj.get("family")
-    if family == "power_weight":
-        allowed, need = {"family", "p"}, {"p"}
-    elif family == "annulus_series":
-        if "growth" in obj or "gap" in obj:
-            allowed, need = {"family", "growth", "gap", "r"}, {"growth", "gap", "r"}
-        else:
-            allowed, need = {"family", "p", "q", "r"}, {"p", "q", "r"}
-    elif family == "sphere_series":
-        if isinstance(obj.get("radii"), dict):
-            allowed, need = {"family", "radii", "r"}, {"radii", "r"}
-        elif "radii" in obj:
-            allowed, need = {"family", "radii", "tail_exponent", "r"}, {"radii", "r"}
-        else:
-            allowed, need = {"family", "p", "r"}, {"p", "r"}
-    elif family == "boundary_power":
-        allowed, need = {"family", "r", "radius"}, {"r"}
-    else:
-        errors.append(f"measure.family must be one of power_weight, annulus_series, sphere_series, boundary_power; got {family!r}")
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        errors.append(f"measure.family must be one of {', '.join(FAMILIES)}; got {family!r}")
         return
+    allowed, need = cls.spec_keys(obj)
+    allowed = allowed | {"family"}
     for k in sorted(set(obj) - allowed):
         errors.append(f"measure: unknown key '{k}' for family {family}")
     for k in sorted(need - set(obj)):
@@ -268,15 +182,9 @@ def _validate_measure(obj, errors):
     if set(obj) - allowed or need - set(obj):
         return
     try:
-        mu = _measure_from_spec(obj)
+        cls.from_spec(obj).require_admissible()
     except (TypeError, ValueError) as e:
         errors.append(f"measure: {e}")
-        return
-    if isinstance(mu, AnnulusSeries):
-        try:
-            require_admissible(mu)
-        except NotAdmissible as e:
-            errors.append(f"measure: {e}")
 
 
 def _is_number(v) -> bool:
@@ -349,9 +257,13 @@ def validate_config(raw) -> ExperimentConfig:
         _validate_measure(raw["measure"], errors)
 
     seed = _num(raw, "seed", errors, int, lambda v: 0 <= v < 2**64, "must fit in 64 bits")
-    n_paths = _num(raw, "n_paths", errors, int, lambda v: v >= 1, "must be >= 1")
+    min_paths = 2 if task in ("verify-identity", "rotation-check") else 1
+    what = "must be >= 1" if min_paths == 1 else f"must be >= 2 for task {task}, which needs a standard error"
+    n_paths = _num(raw, "n_paths", errors, int, lambda v: v >= min_paths, what)
     dt = _num(raw, "dt", errors, float, lambda v: v > 0, "must be positive")
     coupling = _num(raw, "coupling", errors, float, lambda v: v >= 0, "must be nonnegative")
+    if task == "verify-identity" and coupling == 0.0:
+        errors.append("'coupling' must be positive for task verify-identity, which needs a standard error")
     smoothing_eps = _num(raw, "smoothing_eps", errors, float, lambda v: v > 0, "must be positive")
     tol = _num(raw, "tol", errors, float, lambda v: v > 0, "must be positive")
     decay_fraction = _num(raw, "decay_fraction", errors, float, lambda v: 0 < v < 1, "must be in (0, 1)")
@@ -372,6 +284,13 @@ def validate_config(raw) -> ExperimentConfig:
             horizons = (t,)
     if dt is not None and horizons and dt > horizons[0]:
         errors.append("'dt' must not exceed the first horizon")
+    elif dt is not None and horizons and task == "verify-identity" and dt > horizons[0] / 2:
+        errors.append("'dt' must not exceed horizon/2 for task verify-identity (its first checkpoint is T/2)")
+    elif dt is not None and horizons:
+        steps = [_snap_steps(t, dt) for t in horizons]
+        for a, b, na, nb in zip(horizons, horizons[1:], steps, steps[1:]):
+            if nb <= na:
+                errors.append(f"'horizons' {a} and {b} snap to the same time step at dt={dt}")
 
     dim_for_point = dim if dim is not None else 3
     x = _point(raw, "x", dim_for_point, errors)
@@ -405,7 +324,8 @@ def validate_config(raw) -> ExperimentConfig:
     if "grid" in raw:
         g = raw["grid"]
         family = raw["measure"].get("family") if isinstance(raw.get("measure"), dict) else None
-        legal = _GRID_PARAMS.get(family if isinstance(family, str) else None, {"p", "q", "r", "alpha"})
+        cls = FAMILIES.get(family) if isinstance(family, str) else None
+        legal = cls.grid_params if cls else {"p", "q", "r", "alpha"}
         if not isinstance(g, dict) or not 1 <= len(g) <= 2:
             errors.append("'grid' must map one or two parameter names to value lists")
         else:
@@ -525,7 +445,7 @@ def _free_process(alpha: float, dim: int):
 
 
 def _auto_eps(cfg: ExperimentConfig, mu) -> Optional[float]:
-    if not isinstance(mu, SphereSeries):
+    if not mu.singular:
         return None
     if cfg.smoothing_eps is not None:
         return cfg.smoothing_eps

@@ -15,6 +15,14 @@ Sequences f, h, s are either parametric pure powers of n or finite tables
 with an optional power-law tail rule. A table without a tail rule leaves
 the far behaviour of the measure undefined: downstream decisions that need
 the tail report Inconclusive rather than guessing.
+
+Each family class is the one home of its facts: ``family`` (its config
+name), its config forms (``spec_keys``, ``from_spec``, ``grid_params``),
+``params``, ``support_scale``, ``truncated``, ``singular`` (no pointwise
+density), ``require_admissible``, ``weight_fn``, the scalar ``density``
+and its radial ``profile``. ``FAMILIES`` maps names to classes, and
+``family_class``, through which every layer dispatches, is the one place
+that rejects a non-family object.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .kernels import sphere_surface_area
 
 __all__ = [
     "Seq",
+    "FAMILIES",
     "PowerWeight",
     "AnnulusSeries",
     "SphereSeries",
@@ -143,20 +152,138 @@ class Seq:
         return out
 
 
+def _float(v) -> float:
+    """float(v) for a config parameter; NaN, Infinity and out-of-range ints are errors."""
+    try:
+        f = float(v)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise ValueError(f"parameters must be finite numbers, got {v!r}")
+    return f
+
+
+def _seq_from_spec(obj, errors, label):
+    if not isinstance(obj, dict):
+        errors.append(f"{label} must be an object with 'exponent' or 'table'")
+        return None
+    keys = set(obj)
+    if keys == {"exponent"}:
+        try:
+            return Seq.power(_float(obj["exponent"]))
+        except (TypeError, ValueError) as e:
+            errors.append(f"{label}: {e}")
+    elif keys in ({"table"}, {"table", "tail_exponent"}):
+        try:
+            tail = obj.get("tail_exponent")
+            return Seq.table([_float(v) for v in obj["table"]], None if tail is None else _float(tail))
+        except (TypeError, ValueError) as e:
+            errors.append(f"{label}: {e}")
+    else:
+        errors.append(f"{label}: keys must be 'exponent' or 'table'[, 'tail_exponent'], got {sorted(keys)}")
+    return None
+
+
+def _seqs_from_spec(spec: dict, *labels) -> list:
+    errors = []
+    seqs = [_seq_from_spec(spec[label], errors, label) for label in labels]
+    if errors:
+        raise ValueError("; ".join(errors))
+    return seqs
+
+
+def _seq_params(seq: Seq) -> dict:
+    if seq.is_parametric:
+        return {"power": seq.exponent}
+    out = {"table": list(seq.values)}
+    if seq.tail_exponent is not None:
+        out["tail_exponent"] = seq.tail_exponent
+    return out
+
+
+def _no_atoms(lo, hi):
+    return np.empty(0), np.empty(0)
+
+
+class _Family:
+    """What the four family classes share (see the module docstring)."""
+
+    singular = False
+
+    @property
+    def seqs(self) -> tuple:
+        """The index sequences: growth and gap, or radii."""
+        return tuple(v for v in vars(self).values() if isinstance(v, Seq))
+
+    @property
+    def hard_cap(self) -> Optional[int]:
+        """Last index the family is defined at, None if unbounded."""
+        caps = [seq.table_len for seq in self.seqs if seq.truncated]
+        return min(caps) if caps else None
+
+    @property
+    def truncated(self) -> bool:
+        """A table without a tail rule leaves the family undefined beyond it."""
+        return self.hard_cap is not None
+
+    def params(self) -> dict:
+        """JSON-safe parameters, in field order."""
+        return {k: _seq_params(v) if isinstance(v, Seq) else v for k, v in vars(self).items()}
+
+    def require_admissible(self, n_max: int = 100_000) -> None:
+        """Raise NotAdmissible for a malformed support; only annulus windows can be."""
+
+    def series_diverges(self, alpha: float) -> Optional[bool]:
+        """Series families: does sum n^e, e = series_exponent, diverge? None if e is unknown."""
+        e = self.series_exponent(alpha)
+        return None if e is None else e >= -1.0
+
+
 @dataclass(frozen=True)
-class PowerWeight:
+class PowerWeight(_Family):
     """Density (1 + |y|)^p on all of R^d."""
 
     p: float
 
+    family = "power_weight"
+    grid_params = frozenset({"p", "alpha"})
+
+    @classmethod
+    def spec_keys(cls, spec):
+        return {"p"}, {"p"}
+
+    @classmethod
+    def from_spec(cls, spec) -> "PowerWeight":
+        return cls(_float(spec["p"]))
+
+    def support_scale(self) -> float:
+        return 1.0
+
+    def density(self, s: float) -> float:
+        return (1.0 + s) ** self.p
+
+    def weight_fn(self, smoothing_eps=None):
+        p = self.p
+        return lambda s: (1.0 + np.asarray(s, dtype=float)) ** p
+
+    def profile(self, dim: int, omega: float) -> "RadialProfile":
+        p = self.p
+        dens = lambda s: omega * np.asarray(s, dtype=float) ** (dim - 1) * (1.0 + np.asarray(s, dtype=float)) ** p
+        return RadialProfile(
+            dim, math.inf, dens, lambda lo, hi: [(lo, hi)] if lo < hi else [], _no_atoms
+        )
+
 
 @dataclass(frozen=True)
-class AnnulusSeries:
+class AnnulusSeries(_Family):
     """Density |y|^(-r) on the union of annuli [f(n), f(n)(1+h(n))]."""
 
     growth: Seq
     gap: Seq
     r: float
+
+    family = "annulus_series"
+    grid_params = frozenset({"p", "q", "r", "alpha"})
 
     def __post_init__(self):
         g, h = self.growth, self.gap
@@ -179,6 +306,18 @@ class AnnulusSeries:
         """f(n) = n^p, h(n) = n^(-q)."""
         return cls(growth=Seq.power(p), gap=Seq.power(-q), r=r)
 
+    @classmethod
+    def spec_keys(cls, spec):
+        keys = {"growth", "gap", "r"} if "growth" in spec or "gap" in spec else {"p", "q", "r"}
+        return keys, keys
+
+    @classmethod
+    def from_spec(cls, spec) -> "AnnulusSeries":
+        if "p" in spec:
+            return cls.parametric(p=_float(spec["p"]), q=_float(spec["q"]), r=_float(spec["r"]))
+        growth, gap = _seqs_from_spec(spec, "growth", "gap")
+        return cls(growth=growth, gap=gap, r=_float(spec["r"]))
+
     def window(self, n):
         """(a_n, b_n), vectorized over n."""
         f = self.growth(n)
@@ -191,13 +330,60 @@ class AnnulusSeries:
             return None
         return tp * (alpha - self.r) + th
 
+    def support_scale(self) -> float:
+        return float(self.window(1)[1])
+
+    def require_admissible(self, n_max: int = 100_000) -> None:
+        res = admissibility_check(self.growth, self.gap, n_max)
+        if not res.ok:
+            where = (
+                f"first violation at n={res.first_violation}"
+                if res.first_violation is not None
+                else f"eventually, none up to n={res.checked_to}"
+            )
+            raise NotAdmissible(f"annulus windows overlap ({where}, mode={res.mode})")
+
+    def density(self, s: float) -> float:
+        mult = int(_annulus_membership(self, np.array([s]))[0])
+        return mult * s**-self.r if mult else 0.0
+
+    def weight_fn(self, smoothing_eps=None):
+        self.require_admissible()
+        r = self.r
+
+        def w_ann(s):
+            s = np.asarray(s, dtype=float)
+            mult = _annulus_membership(self, s)
+            with np.errstate(divide="ignore"):
+                vals = np.where(mult > 0, np.where(s > 0, s, 1.0) ** -r, 0.0)
+            return vals * mult
+
+        return w_ann
+
+    def profile(self, dim: int, omega: float) -> "RadialProfile":
+        self.require_admissible()
+        r = self.r
+
+        def dens(s):
+            s = np.asarray(s, dtype=float)
+            mult = _annulus_membership(self, s)
+            return omega * mult * np.where(s > 0, s, 1.0) ** (dim - 1 - r)
+
+        return RadialProfile(
+            dim, math.inf, dens, lambda lo, hi: _annulus_pieces(self, lo, hi), _no_atoms
+        )
+
 
 @dataclass(frozen=True)
-class SphereSeries:
+class SphereSeries(_Family):
     """Weight s_n^(-r) times surface measure on spheres of radius s_n."""
 
     radii: Seq
     r: float
+
+    family = "sphere_series"
+    grid_params = frozenset({"p", "r", "alpha"})
+    singular = True
 
     def __post_init__(self):
         s = self.radii
@@ -215,25 +401,150 @@ class SphereSeries:
         """s_n = n^p."""
         return cls(radii=Seq.power(p), r=r)
 
+    @classmethod
+    def spec_keys(cls, spec):
+        if isinstance(spec.get("radii"), dict):
+            return {"radii", "r"}, {"radii", "r"}
+        if "radii" in spec:
+            return {"radii", "tail_exponent", "r"}, {"radii", "r"}
+        return {"p", "r"}, {"p", "r"}
+
+    @classmethod
+    def from_spec(cls, spec) -> "SphereSeries":
+        if "p" in spec:
+            return cls.parametric(p=_float(spec["p"]), r=_float(spec["r"]))
+        if isinstance(spec["radii"], dict):
+            (radii,) = _seqs_from_spec(spec, "radii")
+        else:
+            tail = spec.get("tail_exponent")
+            radii = Seq.table([_float(v) for v in spec["radii"]], None if tail is None else _float(tail))
+        return cls(radii=radii, r=_float(spec["r"]))
+
     def series_exponent(self, alpha: float) -> Optional[float]:
         """Exponent e with s_n^(alpha-1-r) ~ n^e, None when the tail is unknown."""
         tp = self.radii.tail_power()
         return None if tp is None else tp * (alpha - 1.0 - self.r)
 
+    def support_scale(self) -> float:
+        return float(self.radii(1))
+
+    def density(self, s: float) -> float:
+        raise SingularMeasure(
+            "SphereSeries has no pointwise density; use smoothed_density"
+        )
+
+    def weight_fn(self, smoothing_eps=None):
+        if smoothing_eps is None:
+            raise SingularMeasure(
+                "SphereSeries needs smoothing_eps for a pointwise weight"
+            )
+        eps, r = float(smoothing_eps), self.r
+
+        def w_sph(s):
+            hit, radius = _shell_hits(self, np.asarray(s, dtype=float), eps)
+            return np.where(hit, np.where(hit, radius, 1.0) ** -r / (2.0 * eps), 0.0)
+
+        return w_sph
+
+    def profile(self, dim: int, omega: float) -> "RadialProfile":
+        r = self.r
+
+        def atoms(lo, hi):
+            n_lo, n_hi = _sphere_atom_indices(self, lo, hi)
+            if n_hi < n_lo:
+                return np.empty(0), np.empty(0)
+            n = np.arange(n_lo, n_hi + 1)
+            radii = self.radii(n)
+            keep = (radii >= lo) & (radii <= hi)
+            radii = radii[keep]
+            return radii, radii**-r * omega * radii ** (dim - 1)
+
+        return RadialProfile(dim, math.inf, None, lambda lo, hi: [], atoms)
+
 
 @dataclass(frozen=True)
-class BoundaryPower:
+class BoundaryPower(_Family):
     """Density dist(y, boundary)^(-r) on the ball of the given radius."""
 
     r: float
     radius: float = 1.0
 
+    family = "boundary_power"
+    grid_params = frozenset({"r", "alpha"})
+
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
 
+    @classmethod
+    def spec_keys(cls, spec):
+        return {"r", "radius"}, {"r"}
+
+    @classmethod
+    def from_spec(cls, spec) -> "BoundaryPower":
+        return cls(_float(spec["r"]), _float(spec.get("radius", 1.0)))
+
+    def support_scale(self) -> float:
+        return self.radius
+
+    def density(self, s: float) -> float:
+        if s > self.radius:
+            return 0.0
+        delta = self.radius - s
+        if delta == 0.0:
+            return math.inf if self.r > 0 else (1.0 if self.r == 0 else 0.0)
+        return delta**-self.r
+
+    def weight_fn(self, smoothing_eps=None):
+        R, r = self.radius, self.r
+
+        def w_bnd(s):
+            s = np.asarray(s, dtype=float)
+            inside = s < R
+            with np.errstate(divide="ignore"):
+                return np.where(inside, np.where(inside, R - s, 1.0) ** -r, 0.0)
+
+        return w_bnd
+
+    def profile(self, dim: int, omega: float) -> "RadialProfile":
+        R, r = self.radius, self.r
+
+        def dens(s):
+            s = np.asarray(s, dtype=float)
+            inside = s < R
+            with np.errstate(divide="ignore"):
+                return np.where(
+                    inside,
+                    omega * s ** (dim - 1) * np.where(inside, R - s, 1.0) ** -r,
+                    0.0,
+                )
+
+        def known_mass(lo, hi):
+            if r >= 1.0 and hi >= R and lo < R:
+                return math.inf
+            return None
+
+        return RadialProfile(
+            dim,
+            R,
+            dens,
+            lambda lo, hi: [(lo, min(hi, R))] if lo < min(hi, R) else [],
+            _no_atoms,
+            mass_override=known_mass,
+        )
+
 
 MeasureSpec = Union[PowerWeight, AnnulusSeries, SphereSeries, BoundaryPower]
+
+FAMILIES = {cls.family: cls for cls in (PowerWeight, AnnulusSeries, SphereSeries, BoundaryPower)}
+
+
+def family_class(mu) -> type:
+    """The class of mu, which must be one of FAMILIES; TypeError for anything else."""
+    cls = type(mu)
+    if cls not in FAMILIES.values():
+        raise TypeError(f"not a measure family: {cls.__name__}")
+    return cls
 
 
 @dataclass(frozen=True)
@@ -321,17 +632,6 @@ def admissibility_check(growth: Seq, gap: Seq, n_max: int = 100_000) -> Admissib
     return AdmissibilityResult(True, None, limit, "direct")
 
 
-def require_admissible(mu: AnnulusSeries, n_max: int = 100_000) -> None:
-    res = admissibility_check(mu.growth, mu.gap, n_max)
-    if not res.ok:
-        where = (
-            f"first violation at n={res.first_violation}"
-            if res.first_violation is not None
-            else f"eventually, none up to n={res.checked_to}"
-        )
-        raise NotAdmissible(f"annulus windows overlap ({where}, mode={res.mode})")
-
-
 # ---------------------------------------------------------------------------
 # window / shell membership, shared by densities and the simulator weight
 
@@ -342,12 +642,6 @@ _INDEX_CAP = float(2**62)
 def _safe_index(real_index: np.ndarray) -> np.ndarray:
     """Round a real-valued sequence index down to int64 without overflow."""
     return np.clip(np.floor(real_index), 1.0, _INDEX_CAP).astype(np.int64)
-
-
-def _seq_hard_cap(mu: AnnulusSeries) -> Optional[int]:
-    """Last n the family is defined at, None if unbounded."""
-    caps = [seq.table_len for seq in (mu.growth, mu.gap) if seq.truncated]
-    return min(caps) if caps else None
 
 
 def _window_index_base(mu: AnnulusSeries, s: np.ndarray) -> np.ndarray:
@@ -377,7 +671,7 @@ def _annulus_membership(mu: AnnulusSeries, s: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)
     base = _window_index_base(mu, s)
-    cap = _seq_hard_cap(mu)
+    cap = mu.hard_cap
     mult = np.zeros(s.shape, dtype=np.int64)
     for dn in (0, 1):
         n = base + dn
@@ -408,7 +702,7 @@ def _shell_hits(mu: SphereSeries, s: np.ndarray, eps: float):
                 base[beyond] = _safe_index(
                     np.round(len(vals) * (s[beyond] / vals[-1]) ** (1.0 / seq.tail_exponent))
                 )
-    cap = seq.table_len if seq.truncated else None
+    cap = mu.hard_cap
     hit = np.zeros(s.shape, dtype=bool)
     radius = np.zeros_like(s)
     nhits = np.zeros(s.shape, dtype=np.int64)
@@ -461,23 +755,7 @@ def default_smoothing_eps(mu: SphereSeries, max_radius: float) -> float:
 def evaluate_density(mu: MeasureSpec, x) -> float:
     """Pointwise density of mu at x in R^d (w(x) in the PCAF integrand)."""
     s = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    if isinstance(mu, PowerWeight):
-        return (1.0 + s) ** mu.p
-    if isinstance(mu, AnnulusSeries):
-        mult = int(_annulus_membership(mu, np.array([s]))[0])
-        return mult * s**-mu.r if mult else 0.0
-    if isinstance(mu, BoundaryPower):
-        if s > mu.radius:
-            return 0.0
-        delta = mu.radius - s
-        if delta == 0.0:
-            return math.inf if mu.r > 0 else (1.0 if mu.r == 0 else 0.0)
-        return delta**-mu.r
-    if isinstance(mu, SphereSeries):
-        raise SingularMeasure(
-            "SphereSeries has no pointwise density; use smoothed_density"
-        )
-    raise TypeError(f"not a measure family: {type(mu).__name__}")
+    return family_class(mu).density(mu, s)
 
 
 def smoothed_density(mu: SphereSeries, x, eps: float) -> float:
@@ -502,44 +780,7 @@ def radial_weight_fn(
     """
     if mu is None:
         return lambda s: np.zeros_like(np.asarray(s, dtype=float))
-    if isinstance(mu, PowerWeight):
-        p = mu.p
-        return lambda s: (1.0 + np.asarray(s, dtype=float)) ** p
-    if isinstance(mu, AnnulusSeries):
-        require_admissible(mu)
-        r = mu.r
-
-        def w_ann(s):
-            s = np.asarray(s, dtype=float)
-            mult = _annulus_membership(mu, s)
-            with np.errstate(divide="ignore"):
-                vals = np.where(mult > 0, np.where(s > 0, s, 1.0) ** -r, 0.0)
-            return vals * mult
-
-        return w_ann
-    if isinstance(mu, SphereSeries):
-        if smoothing_eps is None:
-            raise SingularMeasure(
-                "SphereSeries needs smoothing_eps for a pointwise weight"
-            )
-        eps, r = float(smoothing_eps), mu.r
-
-        def w_sph(s):
-            hit, radius = _shell_hits(mu, np.asarray(s, dtype=float), eps)
-            return np.where(hit, np.where(hit, radius, 1.0) ** -r / (2.0 * eps), 0.0)
-
-        return w_sph
-    if isinstance(mu, BoundaryPower):
-        R, r = mu.radius, mu.r
-
-        def w_bnd(s):
-            s = np.asarray(s, dtype=float)
-            inside = s < R
-            with np.errstate(divide="ignore"):
-                return np.where(inside, np.where(inside, R - s, 1.0) ** -r, 0.0)
-
-        return w_bnd
-    raise TypeError(f"not a measure family: {type(mu).__name__}")
+    return family_class(mu).weight_fn(mu, smoothing_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -636,108 +877,15 @@ def radial_marginal(mu: MeasureSpec, dim: int) -> RadialProfile:
     """One-dimensional radial reduction of mu in R^dim."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    omega = sphere_surface_area(dim)
-    no_atoms = lambda lo, hi: (np.empty(0), np.empty(0))
-
-    if isinstance(mu, PowerWeight):
-        p = mu.p
-        dens = lambda s: omega * np.asarray(s, dtype=float) ** (dim - 1) * (1.0 + np.asarray(s, dtype=float)) ** p
-        return RadialProfile(
-            dim, math.inf, dens, lambda lo, hi: [(lo, hi)] if lo < hi else [], no_atoms
-        )
-
-    if isinstance(mu, AnnulusSeries):
-        require_admissible(mu)
-        r = mu.r
-
-        def dens(s):
-            s = np.asarray(s, dtype=float)
-            mult = _annulus_membership(mu, s)
-            return omega * mult * np.where(s > 0, s, 1.0) ** (dim - 1 - r)
-
-        return RadialProfile(
-            dim, math.inf, dens, lambda lo, hi: _annulus_pieces(mu, lo, hi), no_atoms
-        )
-
-    if isinstance(mu, SphereSeries):
-        r = mu.r
-
-        def atoms(lo, hi):
-            n_lo, n_hi = _sphere_atom_indices(mu, lo, hi)
-            if n_hi < n_lo:
-                return np.empty(0), np.empty(0)
-            n = np.arange(n_lo, n_hi + 1)
-            radii = mu.radii(n)
-            keep = (radii >= lo) & (radii <= hi)
-            radii = radii[keep]
-            return radii, radii**-r * omega * radii ** (dim - 1)
-
-        return RadialProfile(dim, math.inf, None, lambda lo, hi: [], atoms)
-
-    if isinstance(mu, BoundaryPower):
-        R, r = mu.radius, mu.r
-
-        def dens(s):
-            s = np.asarray(s, dtype=float)
-            inside = s < R
-            with np.errstate(divide="ignore"):
-                return np.where(
-                    inside,
-                    omega * s ** (dim - 1) * np.where(inside, R - s, 1.0) ** -r,
-                    0.0,
-                )
-
-        def known_mass(lo, hi):
-            if r >= 1.0 and hi >= R and lo < R:
-                return math.inf
-            return None
-
-        return RadialProfile(
-            dim,
-            R,
-            dens,
-            lambda lo, hi: [(lo, min(hi, R))] if lo < min(hi, R) else [],
-            no_atoms,
-            mass_override=known_mass,
-        )
-
-    raise TypeError(f"not a measure family: {type(mu).__name__}")
+    return family_class(mu).profile(mu, dim, sphere_surface_area(dim))
 
 
 def support_scale(mu: MeasureSpec) -> float:
     """Characteristic radius of the support (sets default probe distances)."""
-    if isinstance(mu, PowerWeight):
-        return 1.0
-    if isinstance(mu, AnnulusSeries):
-        return float(mu.window(1)[1])
-    if isinstance(mu, SphereSeries):
-        return float(mu.radii(1))
-    if isinstance(mu, BoundaryPower):
-        return mu.radius
-    raise TypeError(f"not a measure family: {type(mu).__name__}")
-
-
-def _seq_params(seq: Seq) -> dict:
-    if seq.is_parametric:
-        return {"power": seq.exponent}
-    out = {"table": list(seq.values)}
-    if seq.tail_exponent is not None:
-        out["tail_exponent"] = seq.tail_exponent
-    return out
+    return family_class(mu).support_scale(mu)
 
 
 def describe(mu: MeasureSpec) -> tuple[str, dict]:
     """(family name, JSON-safe parameter dict), stable across runs."""
-    if isinstance(mu, PowerWeight):
-        return "power_weight", {"p": mu.p}
-    if isinstance(mu, AnnulusSeries):
-        return "annulus_series", {
-            "growth": _seq_params(mu.growth),
-            "gap": _seq_params(mu.gap),
-            "r": mu.r,
-        }
-    if isinstance(mu, SphereSeries):
-        return "sphere_series", {"radii": _seq_params(mu.radii), "r": mu.r}
-    if isinstance(mu, BoundaryPower):
-        return "boundary_power", {"r": mu.r, "radius": mu.radius}
-    raise TypeError(f"not a measure family: {type(mu).__name__}")
+    cls = family_class(mu)
+    return cls.family, cls.params(mu)

@@ -37,7 +37,7 @@ from .measures import (
     PowerWeight,
     Seq,
     SphereSeries,
-    require_admissible,
+    family_class,
     support_scale,
 )
 
@@ -312,11 +312,10 @@ def _power_weight_potential(mu, rho, model, gfun, g_tail, g_top, tol):
     return PotentialResult(near + far, False, err1 + err2, n1 + n2, near, witness)
 
 
-def _window_series_potential(mu, rho, model, gfun, g_tail, g_top, tol):
-    require_admissible(mu)
+def _series_integrand(rho, model, r, gfun):
+    """s -> kbar(rho, s) omega_d s^(d-1-r) g(s), the shell weight of a window or shell."""
     alpha, d = model.alpha, model.dim
     omega = sphere_surface_area(d)
-    r = mu.r
 
     def integrand(s):
         v = shell_average_batch(rho, s, alpha, d) * omega * s ** (d - 1 - r)
@@ -324,47 +323,48 @@ def _window_series_potential(mu, rho, model, gfun, g_tail, g_top, tol):
             v = v * gfun(s)
         return v
 
-    def a_w_of(n):
-        a = _real_seq_value(mu.growth, n)
-        return a, a * _real_seq_value(mu.gap, n)
+    return integrand
 
-    def f(x):
-        # window integrals at real indices x, on an (N, 16) Gauss node grid
-        a, w = a_w_of(x)
-        half = 0.5 * w
-        s = (a + half)[:, None] + half[:, None] * _GL_NODES
-        return (integrand(s.ravel()).reshape(s.shape) @ _GL_WEIGHTS) * half
 
-    caps = [seq.table_len for seq in (mu.growth, mu.gap) if seq.truncated]
-    hard_cap = min(caps) if caps else None
-    head_n = _DIRECT_HEAD
-    for seq in (mu.growth, mu.gap):
-        if not seq.is_parametric:
-            head_n = max(head_n, seq.table_len)
+def _series_potential(mu, noun, block, f, rho, model, gfun, g_tail, g_top, tol):
+    """Potential of a measure made of one term per index n = 1, 2, ...
+
+    The family's first sequence (growth or radii) places the probe radius
+    and the gauge knots on the index axis. ``block(n, at)`` sums the terms
+    of the indices n with sequence values ``at(seq, n)`` and returns (value,
+    error estimate, whether a term is infinite); ``f(x)`` is the term at
+    real indices x, smooth past every table, for the Euler-Maclaurin
+    stretches. The head and the stretch around the probe index go through
+    ``block``, the rest through ``_em_sum``.
+    """
+    lead, hard_cap = mu.seqs[0], mu.hard_cap
+    head_n = max([_DIRECT_HEAD] + [seq.table_len for seq in mu.seqs])
     if g_top is not None:
-        # enumerate every window the gauge table can vary on; past the last
+        # enumerate every term the gauge table can vary on; past the last
         # knot the gauge is constant and the tail machinery applies
-        head_n = max(head_n, int(math.ceil(_real_index(mu.growth, g_top))) + 1)
+        head_n = max(head_n, int(math.ceil(_real_index(lead, g_top))) + 1)
     if hard_cap is not None:
         head_n = min(head_n, hard_cap)
     if head_n > _MAX_DIRECT:
-        raise ValueError(f"too many windows to enumerate ({head_n})")
+        raise ValueError(f"too many {noun} to enumerate ({head_n})")
 
-    n_head = np.arange(1, head_n + 1, dtype=float)
-    a = mu.growth(n_head)
-    w = a * mu.gap(n_head)
-    value, err, _ = _interval_batch(a, w, rho, integrand, tol)
-    compact = value
-    terms = head_n
-    exponent = mu.series_exponent(alpha)
+    exponent = mu.series_exponent(model.alpha)
     witness = {"tail_exponent": exponent, "threshold": -1.0}
+    value, err, singular = block(np.arange(1, head_n + 1, dtype=float), Seq.__call__)
+    compact, terms = value, head_n
+
+    def probe_on_a_shell():
+        witness["note"] = "shell at the probe radius with alpha <= 1"
+        return PotentialResult(math.inf, True, math.inf, terms, compact, witness)
+
+    if singular:
+        return probe_on_a_shell()
 
     if hard_cap is not None:
         witness["truncated_at"] = hard_cap
         return PotentialResult(value, False, err, terms, compact, witness)
 
-    bare_div = exponent >= -1.0
-    divergent = bare_div and (gfun is None or g_tail > 0.0)
+    divergent = exponent >= -1.0 and (gfun is None or g_tail > 0.0)
     if divergent:
         marks = {}
         for upper in (1e3, 1e6):
@@ -381,13 +381,13 @@ def _window_series_potential(mu, rho, model, gfun, g_tail, g_top, tol):
         # the gauge vanishes beyond its last knot and the head covers it
         return PotentialResult(value, False, err, terms, compact, witness)
 
-    x_cap = _real_index(mu.growth, _radius_cap(d))
-    span, stretches, capped = _tail_plan(head_n, _real_index(mu.growth, rho))
+    x_cap = _real_index(lead, _radius_cap(model.dim))
+    span, stretches, capped = _tail_plan(head_n, _real_index(lead, rho))
     if span is not None:
         lo, hi, near_head = span
-        n_span = np.arange(lo + 1, hi + 1, dtype=float)
-        sa, sw = a_w_of(n_span)
-        v, e, _ = _interval_batch(sa, sw, rho, integrand, tol)
+        v, e, singular = block(np.arange(lo + 1, hi + 1, dtype=float), _real_seq_value)
+        if singular:
+            return probe_on_a_shell()
         value += v
         err += e
         terms += hi - lo
@@ -400,85 +400,39 @@ def _window_series_potential(mu, rho, model, gfun, g_tail, g_top, tol):
     if capped:
         err += 3.0 * abs(_at(f, 1e12))
     return PotentialResult(value, False, err, terms, compact, witness)
+
+
+def _window_series_potential(mu, rho, model, gfun, g_tail, g_top, tol):
+    mu.require_admissible()
+    integrand = _series_integrand(rho, model, mu.r, gfun)
+
+    def block(n, at):
+        a = at(mu.growth, n)
+        v, e, _ = _interval_batch(a, a * at(mu.gap, n), rho, integrand, tol)
+        return v, e, False
+
+    def f(x):
+        # window integrals at real indices x, on an (N, 16) Gauss node grid
+        a = _real_seq_value(mu.growth, x)
+        half = 0.5 * (a * _real_seq_value(mu.gap, x))
+        s = (a + half)[:, None] + half[:, None] * _GL_NODES
+        return (integrand(s.ravel()).reshape(s.shape) @ _GL_WEIGHTS) * half
+
+    return _series_potential(mu, "windows", block, f, rho, model, gfun, g_tail, g_top, tol)
 
 
 def _sphere_series_potential(mu, rho, model, gfun, g_tail, g_top, tol):
-    alpha, d = model.alpha, model.dim
-    omega = sphere_surface_area(d)
-    r = mu.r
-    seq = mu.radii
+    integrand = _series_integrand(rho, model, mu.r, gfun)
 
-    def atom_terms(s):
-        v = shell_average_batch(rho, s, alpha, d) * omega * s ** (d - 1 - r)
-        if gfun is not None:
-            v = v * gfun(s)
-        return v
+    def block(n, at):
+        terms = integrand(at(mu.radii, n))
+        finite = np.isfinite(terms)
+        return float(terms[finite].sum()), 0.0, not finite.all()
 
     def f(x):
-        return atom_terms(_real_seq_value(seq, x))
+        return integrand(_real_seq_value(mu.radii, x))
 
-    head_n = seq.table_len if seq.truncated else max(_DIRECT_HEAD, seq.table_len)
-    if g_top is not None and not seq.truncated:
-        head_n = max(head_n, int(math.ceil(_real_index(seq, g_top))) + 1)
-    if head_n > _MAX_DIRECT:
-        raise ValueError(f"too many shells to enumerate ({head_n})")
-
-    head_terms = atom_terms(seq(np.arange(1, head_n + 1)))
-    exponent = mu.series_exponent(alpha)
-    witness = {"tail_exponent": exponent, "threshold": -1.0}
-    if not np.all(np.isfinite(head_terms)):
-        # a shell sits exactly at the probe radius and alpha <= 1
-        witness["note"] = "shell at the probe radius with alpha <= 1"
-        finite = float(head_terms[np.isfinite(head_terms)].sum())
-        return PotentialResult(math.inf, True, math.inf, head_n, finite, witness)
-    value = float(head_terms.sum())
-    compact = value
-    terms = head_n
-
-    if seq.truncated:
-        witness["truncated_at"] = head_n
-        return PotentialResult(value, False, 0.0, terms, compact, witness)
-
-    bare_div = exponent >= -1.0
-    divergent = bare_div and (gfun is None or g_tail > 0.0)
-    if divergent:
-        marks = {}
-        for upper in (1e3, 1e6):
-            if upper > head_n:
-                try:
-                    v, _, _ = _em_sum(f, head_n, upper, tol)
-                except NonConvergedQuadrature:
-                    continue
-                marks["%g" % upper] = value + v
-        witness["partial_sums"] = marks
-        return PotentialResult(math.inf, True, math.inf, terms, compact, witness)
-
-    if gfun is not None and g_tail == 0.0:
-        # the gauge vanishes beyond its last knot and the head covers it
-        return PotentialResult(value, False, 0.0, terms, compact, witness)
-
-    err = 0.0
-    x_cap = _real_index(seq, _radius_cap(d))
-    span, stretches, capped = _tail_plan(head_n, _real_index(seq, rho))
-    if span is not None:
-        lo, hi, near_head = span
-        n_span = np.arange(lo + 1, hi + 1, dtype=float)
-        span_terms = atom_terms(_real_seq_value(seq, n_span))
-        if not np.all(np.isfinite(span_terms)):
-            witness["note"] = "shell at the probe radius with alpha <= 1"
-            return PotentialResult(math.inf, True, math.inf, terms, compact, witness)
-        v = float(span_terms.sum())
-        value += v
-        terms += hi - lo
-        if near_head:
-            compact += v
-    for lo, hi in stretches:
-        v, e, _ = _em_sum(f, lo, hi, tol, exponent, x_cap=x_cap)
-        value += v
-        err += e
-    if capped:
-        err += 3.0 * abs(_at(f, 1e12))
-    return PotentialResult(value, False, err, terms, compact, witness)
+    return _series_potential(mu, "shells", block, f, rho, model, gfun, g_tail, g_top, tol)
 
 
 def _boundary_potential(mu, rho, model, gfun, g_tail, g_top, tol):
@@ -530,36 +484,24 @@ def _probe_radius(x) -> float:
     return float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
 
 
-def _bare_divergent(mu: MeasureSpec, alpha: float) -> bool:
-    if isinstance(mu, PowerWeight):
-        return alpha + mu.p >= 0.0
-    if isinstance(mu, AnnulusSeries):
-        e = mu.series_exponent(alpha)
-        return e is not None and e >= -1.0
-    if isinstance(mu, SphereSeries):
-        e = mu.series_exponent(alpha)
-        return e is not None and e >= -1.0
-    if isinstance(mu, BoundaryPower):
-        return mu.r >= 1.0
-    raise TypeError(f"not a measure family: {type(mu).__name__}")
+# family -> (potential routine, whether its bare potential diverges at a given alpha)
+_ROUTES = {
+    PowerWeight: (_power_weight_potential, lambda mu, alpha: alpha + mu.p >= 0.0),
+    AnnulusSeries: (_window_series_potential, lambda mu, alpha: bool(mu.series_diverges(alpha))),
+    SphereSeries: (_sphere_series_potential, lambda mu, alpha: bool(mu.series_diverges(alpha))),
+    BoundaryPower: (_boundary_potential, lambda mu, alpha: mu.r >= 1.0),
+}
 
 
 def _radial_potential(mu, rho, model, gfun, g_tail, g_top, tol) -> PotentialResult:
     model.require_transient()
-    if gfun is not None and g_tail is None and _bare_divergent(mu, model.alpha):
+    route, bare_divergent = _ROUTES[family_class(mu)]
+    if gfun is not None and g_tail is None and bare_divergent(mu, model.alpha):
         raise ValueError(
             "divergent bare potential: pass the gauge as a RadialTable so its "
             "tail value is defined"
         )
-    if isinstance(mu, PowerWeight):
-        return _power_weight_potential(mu, rho, model, gfun, g_tail, g_top, tol)
-    if isinstance(mu, AnnulusSeries):
-        return _window_series_potential(mu, rho, model, gfun, g_tail, g_top, tol)
-    if isinstance(mu, SphereSeries):
-        return _sphere_series_potential(mu, rho, model, gfun, g_tail, g_top, tol)
-    if isinstance(mu, BoundaryPower):
-        return _boundary_potential(mu, rho, model, gfun, g_tail, g_top, tol)
-    raise TypeError(f"not a measure family: {type(mu).__name__}")
+    return route(mu, rho, model, gfun, g_tail, g_top, tol)
 
 
 def riesz_potential(mu: MeasureSpec, x, model: KernelModel, tol: float = 1e-9) -> PotentialResult:

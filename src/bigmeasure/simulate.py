@@ -207,6 +207,11 @@ def sample_increment(process: ProcessSpec, dt: float, rng, n: Optional[int] = No
     return out[0] if n is None else out
 
 
+def _snap_steps(t: float, dt: float) -> int:
+    """Number of whole time steps a horizon t snaps to: max(1, round(t / dt))."""
+    return max(1, int(round(t / dt)))
+
+
 def _path_rng(seed: int, index: int):
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -372,7 +377,7 @@ def gauge_checkpoint_samples(
     """
     _require_full_space(process, "gauge_checkpoint_samples")
     cfg = PathConfig(process, dt, tuple(horizons), tuple(_as_start(x, process.dim)), seed, n_paths)
-    steps_at = np.array([max(1, int(round(t / dt))) for t in cfg.horizons])
+    steps_at = np.array([_snap_steps(t, dt) for t in cfg.horizons])
     if np.any(np.diff(steps_at) < 1):
         raise ValueError("horizons closer than one time step")
     n_steps = int(steps_at[-1])
@@ -458,7 +463,7 @@ def expected_pcaf_oracle(
         s_wts.append(half * wts)
     s = np.concatenate(s_grid)
     sw = np.concatenate(s_wts) * weight(s) * 4.0 * math.pi * s * s
-    n_steps = max(1, int(round(horizon / dt)))
+    n_steps = _snap_steps(horizon, dt)
     t_k = dt * np.arange(1, n_steps)
     total = weight(np.array([0.0]))[0]
     for lo in range(0, t_k.size, 2048):
@@ -627,7 +632,7 @@ def absorbed_pcaf_sample(
     if float(np.linalg.norm(x0)) >= radius:
         raise ValueError("start point must lie inside the ball")
     weight = radial_weight_fn(mu)
-    n_cap = max(1, int(round(t_cap / dt)))
+    n_cap = _snap_steps(t_cap, dt)
     values = np.empty(n_paths)
     exited = np.zeros(n_paths, dtype=bool)
 

@@ -15,7 +15,6 @@ from bigmeasure.errors import ConfigError, ParseError, ValidationError
 from bigmeasure.experiments import (
     _ALLOWED,
     _COMMON_KEYS,
-    _GRID_PARAMS,
     TASKS,
     GAUGE_COLUMNS,
     config_digest,
@@ -24,7 +23,7 @@ from bigmeasure.experiments import (
     run_task,
     validate_config,
 )
-from bigmeasure.measures import PowerWeight
+from bigmeasure.measures import FAMILIES, PowerWeight
 
 
 def _rows(text):
@@ -119,6 +118,52 @@ def test_verify_identity_prerequisites():
     assert "boundary_power" in text
     ok = {**cfg, "alpha": 2.0, "measure": {"family": "boundary_power", "r": 0.5}}
     validate_config(ok)
+
+
+_IDENTITY = {"task": "verify-identity", "alpha": 2.0, "dim": 3,
+             "measure": {"family": "boundary_power", "r": 0.5}, "coupling": 0.1,
+             "seed": 1, "n_paths": 10, "dt": 0.01, "horizon": 1.0, "x": [0.0, 0.0, 0.0]}
+_ROTATION = {"task": "rotation-check", "alpha": 2.0, "dim": 3,
+             "measure": {"family": "power_weight", "p": -2.0},
+             "seed": 7, "n_paths": 10, "dt": 0.05, "horizon": 1.0, "x": [1.0, 0.0, 0.0],
+             "q_matrix": [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("cfg", [_IDENTITY, _ROTATION], ids=["verify-identity", "rotation-check"])
+def test_stderr_checks_need_two_paths(tmp_path, capsys, cfg):
+    # one path has no standard error: a collected error and exit 2, not z=nan and exit 1
+    with pytest.raises(ValidationError, match=f"'n_paths' must be >= 2 for task {cfg['task']}"):
+        validate_config({**cfg, "n_paths": 1})
+    path = _write(tmp_path, "v.json", {**cfg, "n_paths": 1})
+    assert run_cli(["verify", "--config", path]) == 2
+    assert "'n_paths' must be >= 2" in capsys.readouterr().err
+    validate_config({**cfg, "n_paths": 2})
+
+
+def test_verify_identity_needs_positive_coupling():
+    # with coupling 0 every sample is exactly 1, so the combined stderr is 0 and z is 0/0
+    with pytest.raises(ValidationError, match="'coupling' must be positive for task verify-identity"):
+        validate_config({**_IDENTITY, "coupling": 0.0})
+
+
+def test_verify_identity_dt_must_fit_the_half_horizon(tmp_path, capsys):
+    # the identity runs checkpoints at T/2 and T; dt above T/2 failed only at run time
+    with pytest.raises(ValidationError, match="'dt' must not exceed horizon/2 for task verify-identity"):
+        validate_config({**_IDENTITY, "dt": 0.6})
+    path = _write(tmp_path, "v.json", {**_IDENTITY, "dt": 0.6})
+    assert run_cli(["verify", "--config", path]) == 2
+    assert "horizon/2" in capsys.readouterr().err
+    validate_config({**_IDENTITY, "dt": 0.5})
+
+
+def test_horizons_snapping_to_one_step_are_collected(tmp_path, capsys):
+    # 0.5 and 0.52 both snap to step 5 at dt = 0.1; this failed only at run time
+    bad = _sim_config(horizons=[0.5, 0.52], dt=0.1)
+    with pytest.raises(ValidationError, match="'horizons' 0.5 and 0.52 snap to the same time step at dt=0.1"):
+        validate_config(bad)
+    assert run_cli(["simulate", "--config", _write(tmp_path, "s.json", bad)]) == 2
+    assert "snap to the same time step" in capsys.readouterr().err
+    validate_config(_sim_config(horizons=[0.5, 0.6], dt=0.1))
 
 
 def test_grid_parameter_rules():
@@ -267,7 +312,7 @@ def _runnable_config(draw):
     elif task == "simulate":
         cfg.update(mc, horizons=horizons, coupling=draw(st.floats(0.0, 2.0)))
     elif task == "sweep":
-        legal = sorted(_GRID_PARAMS[family])
+        legal = sorted(FAMILIES[family].grid_params)
         names = draw(st.lists(st.sampled_from(legal), min_size=1, max_size=2, unique=True))
         cfg["grid"] = {n: draw(st.lists(_GRID_VALUES[n], min_size=1, max_size=3)) for n in names}
         if draw(st.booleans()):

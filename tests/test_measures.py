@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from bigmeasure.classifier import classify
 from bigmeasure.errors import NotAdmissible, ShellOverlap, SingularMeasure
+from bigmeasure.kernels import KernelModel
 from bigmeasure.measures import (
+    FAMILIES,
     AdmissibilityResult,
     AnnulusSeries,
     BoundaryPower,
@@ -23,6 +26,7 @@ from bigmeasure.measures import (
     smoothed_density,
     support_scale,
 )
+from bigmeasure.potentials import riesz_potential
 
 
 def test_seq_power_and_table():
@@ -306,3 +310,24 @@ def test_describe_and_support_scale():
     assert support_scale(AnnulusSeries.parametric(p=1.0, q=1.0, r=0.0)) == 2.0
     assert support_scale(SphereSeries.parametric(p=2.0, r=1.0)) == 1.0
     assert support_scale(BoundaryPower(r=1.0, radius=3.0)) == 3.0
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda mu: classify(mu, 1.5, 3), id="classify"),
+    pytest.param(lambda mu: riesz_potential(mu, 1.0, KernelModel(1.5, 3)), id="riesz_potential"),
+    pytest.param(radial_weight_fn, id="radial_weight_fn"),
+    pytest.param(describe, id="describe"),
+    pytest.param(support_scale, id="support_scale"),
+    pytest.param(lambda mu: evaluate_density(mu, 1.0), id="evaluate_density"),
+    pytest.param(lambda mu: radial_marginal(mu, 3), id="radial_marginal"),
+])
+def test_non_family_objects_get_one_type_error(call):
+    with pytest.raises(TypeError, match="^not a measure family: str$"):
+        call("not a measure")
+
+
+def test_family_registry_round_trips_describe():
+    for mu in (PowerWeight(-4.0), AnnulusSeries.parametric(1.0, 2.0, 0.5),
+               SphereSeries(Seq.table([1.0, 2.0], 1.5), 1.0), BoundaryPower(0.5, 2.0)):
+        family, params = describe(mu)
+        assert FAMILIES[family] is type(mu)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -319,3 +320,137 @@ def test_divergence_route_agrees_with_thresholds():
         want = classify(mu, 1.5, 3)
         got = divergence_by_potential(mu, M32, 0.0)
         assert got.conclusion == want.conclusion, f"p={p} r={r}"
+
+
+# Exact output of the series potentials (annulus windows and sphere shells):
+# repr of value, abs_error and compact_part, divergent, terms_used and the
+# witness JSON, recorded before the two routes shared one routine. The cases
+# cover parametric and tabulated input, tail rules, truncated tables,
+# divergence marks, probes inside the direct head, near its end and past it,
+# a probe index beyond 1e12, gauge tables with tail value 0 and above 0, and
+# a shell exactly at the probe radius with alpha <= 1.
+def _gauge_table(tail):
+    return RadialTable(np.array([0.0, 1.0, 3.0, 100.0]), np.array([1.0, 0.8, 0.5, tail]))
+
+
+FROZEN_SERIES = {
+    "annulus-parametric-head": (
+        lambda: riesz_potential(AnnulusSeries.parametric(1.0, 3.0, 0.0), 2.5, KernelModel(1.5, 3)),
+        ("28.40425595828023", "4.1980203437353804e-07", False, 67, "25.345111807121587",
+         '{"tail_exponent": -1.5, "threshold": -1.0}'),
+    ),
+    "annulus-parametric-near-head": (
+        lambda: riesz_potential(AnnulusSeries.parametric(1.0, 3.0, 0.0), 100.3, KernelModel(1.5, 3)),
+        ("3.954870074905246", "5.108334010022964e-08", False, 165, "1.9814104872503986",
+         '{"tail_exponent": -1.5, "threshold": -1.0}'),
+    ),
+    "annulus-parametric-past-pad": (
+        lambda: riesz_potential(AnnulusSeries.parametric(1.0, 3.0, 0.0), 500.2, KernelModel(1.5, 5)),
+        ("2.9575790273222147", "1.9331360849625644e-08", False, 193, "0.0008426003570548233",
+         '{"tail_exponent": -1.5, "threshold": -1.0}'),
+    ),
+    "annulus-table-tail": (
+        lambda: riesz_potential(AnnulusSeries(Seq.table([1.0, 2.5, 4.0, 7.0], 1.5), Seq.table([0.5, 0.25], -4.0), 0.5), 3.0, KernelModel(1.8, 3)),
+        ("27.509894637243274", "1.99004453176091e-07", False, 66, "27.019303529435692",
+         '{"tail_exponent": -2.05, "threshold": -1.0}'),
+    ),
+    "annulus-truncated": (
+        lambda: riesz_potential(AnnulusSeries(Seq.table([1.0, 2.5, 4.0, 7.0]), Seq.power(-2.0), 0.0), 3.0, KernelModel(1.5, 3)),
+        ("48.16514469382821", "1.7915412450864995e-10", False, 4, "48.16514469382821",
+         '{"tail_exponent": null, "threshold": -1.0, "truncated_at": 4}'),
+    ),
+    "annulus-table-tail-divergent": (
+        lambda: riesz_potential(AnnulusSeries(Seq.table([1.0, 2.5, 4.0, 7.0], 1.5), Seq.table([0.5, 0.25], -2.0), 0.5), 3.0, KernelModel(1.8, 3)),
+        ("inf", "inf", True, 64, "568.0196250428978",
+         '{"tail_exponent": -0.04999999999999982, "threshold": -1.0, "partial_sums": {"1000": 7861.645586252876, "1e+06": 5573086.955672697}}'),
+    ),
+    "annulus-divergent": (
+        lambda: riesz_potential(AnnulusSeries.parametric(1.0, 1.2, 0.0), 1.7, KernelModel(1.5, 3)),
+        ("inf", "inf", True, 64, "2193.6520951332527",
+         '{"tail_exponent": 0.30000000000000004, "threshold": -1.0, "partial_sums": {"1000": 76865.97491788265, "1e+06": 609911555.7309175}}'),
+    ),
+    "annulus-past-1e12": (
+        lambda: riesz_potential(AnnulusSeries.parametric(0.5, 3.0, 2.0), 1e7, KernelModel(1.5, 3)),
+        ("5.330849425811054e-10", "3.8417297474234984e-19", False, 64, "5.325735402293166e-10",
+         '{"tail_exponent": -3.25, "threshold": -1.0}'),
+    ),
+    "annulus-gauge-tail-zero": (
+        lambda: gauge_weighted_potential(AnnulusSeries.parametric(1.0, 1.2, 0.0), _gauge_table(0.0), 2.0, KernelModel(1.5, 3)),
+        ("868.9811693312156", "9.380547719494706e-10", False, 101, "868.9811693312156",
+         '{"tail_exponent": 0.30000000000000004, "threshold": -1.0}'),
+    ),
+    "annulus-gauge-tail-positive": (
+        lambda: gauge_weighted_potential(AnnulusSeries.parametric(1.0, 3.0, 0.0), _gauge_table(0.25), 2.0, KernelModel(1.5, 3)),
+        ("18.96381844677328", "3.840779537633048e-08", False, 101, "18.340155761259997",
+         '{"tail_exponent": -1.5, "threshold": -1.0}'),
+    ),
+    "sphere-parametric-head": (
+        lambda: riesz_potential(SphereSeries.parametric(1.0, 2.0), 2.5, KernelModel(1.5, 3)),
+        ("23.138205542660952", "4.1980087791794177e-07", False, 67, "20.07906174657202",
+         '{"tail_exponent": -1.5, "threshold": -1.0}'),
+    ),
+    "sphere-parametric-near-head": (
+        lambda: riesz_potential(SphereSeries.parametric(1.0, 2.0), 100.3, KernelModel(1.5, 3)),
+        ("3.9355881971204547", "5.108333541502063e-08", False, 165, "1.9621286229980197",
+         '{"tail_exponent": -1.5, "threshold": -1.0}'),
+    ),
+    "sphere-parametric-past-pad": (
+        lambda: riesz_potential(SphereSeries.parametric(1.0, 2.0), 500.2, KernelModel(1.5, 5)),
+        ("2.9575788631446276", "1.9331357074974163e-08", False, 193, "0.0008424793841773903",
+         '{"tail_exponent": -1.5, "threshold": -1.0}'),
+    ),
+    "sphere-table-tail": (
+        lambda: riesz_potential(SphereSeries(Seq.table([1.0, 1.5, 3.0], 3.0), 1.0), 2.0, KernelModel(1.5, 3)),
+        ("59.93971505147209", "1.306761341255281e-06", False, 66, "50.6938569753061",
+         '{"tail_exponent": -1.5, "threshold": -1.0}'),
+    ),
+    "sphere-table-tail-divergent": (
+        lambda: riesz_potential(SphereSeries(Seq.table([1.0, 1.5, 3.0], 2.0), 1.0), 2.0, KernelModel(1.5, 3)),
+        ("inf", "inf", True, 64, "83.18844028313717",
+         '{"tail_exponent": -1.0, "threshold": -1.0, "partial_sums": {"1000": 142.86055347781473, "1e+06": 293.20106897788753}}'),
+    ),
+    "sphere-truncated": (
+        lambda: riesz_potential(SphereSeries(Seq.table([1.0, 1.5, 3.0]), 1.0), 2.0, KernelModel(1.5, 3)),
+        ("19.677935453508212", "0.0", False, 3, "19.677935453508212",
+         '{"tail_exponent": null, "threshold": -1.0, "truncated_at": 3}'),
+    ),
+    "sphere-divergent": (
+        lambda: riesz_potential(SphereSeries.parametric(1.0, 0.2), 2.0, KernelModel(1.5, 3)),
+        ("inf", "inf", True, 64, "2175.5330379346387",
+         '{"tail_exponent": 0.3, "threshold": -1.0, "partial_sums": {"1000": 76832.94476931283, "1e+06": 609911460.3377175}}'),
+    ),
+    "sphere-past-1e12": (
+        lambda: riesz_potential(SphereSeries.parametric(0.5, 6.0), 1e7, KernelModel(1.5, 3)),
+        ("6.536697071195866e-10", "2.4682698810032878e-18", False, 64, "6.475088455690822e-10",
+         '{"tail_exponent": -2.75, "threshold": -1.0}'),
+    ),
+    "sphere-gauge-tail-zero": (
+        lambda: gauge_weighted_potential(SphereSeries.parametric(1.0, 0.2), _gauge_table(0.0), 2.0, KernelModel(1.5, 3)),
+        ("866.3569492754668", "0.0", False, 101, "866.3569492754668",
+         '{"tail_exponent": 0.3, "threshold": -1.0}'),
+    ),
+    "sphere-gauge-tail-positive": (
+        lambda: gauge_weighted_potential(SphereSeries.parametric(1.0, 2.0), _gauge_table(0.25), 2.0, KernelModel(1.5, 3)),
+        ("14.74483489049339", "3.783977370401815e-08", False, 101, "14.121172226277318",
+         '{"tail_exponent": -1.5, "threshold": -1.0}'),
+    ),
+    "sphere-shell-at-probe-head": (
+        lambda: riesz_potential(SphereSeries.parametric(1.0, 3.0), 2.0, KernelModel(1.0, 3)),
+        ("inf", "inf", True, 64, "4.54459450012099",
+         '{"tail_exponent": -3.0, "threshold": -1.0, "note": "shell at the probe radius with alpha <= 1"}'),
+    ),
+    "sphere-shell-at-probe-span": (
+        lambda: riesz_potential(SphereSeries.parametric(1.0, 3.0), 500.0, KernelModel(0.8, 3)),
+        ("inf", "inf", True, 64, "6.885689676644003e-05",
+         '{"tail_exponent": -3.2, "threshold": -1.0, "note": "shell at the probe radius with alpha <= 1"}'),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_SERIES))
+def test_series_potentials_are_frozen(case):
+    build, want = FROZEN_SERIES[case]
+    r = build()
+    got = (repr(r.value), repr(r.abs_error), r.divergent, r.terms_used, repr(r.compact_part),
+           json.dumps(r.witness))
+    assert got == want
