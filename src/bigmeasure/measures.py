@@ -1,7 +1,7 @@
-"""Rotation-invariant measure families and their radial reductions.
+"""Rotation-invariant measure families and their radial weights.
 
 Four families of potential measures mu on R^d (d = dim), all rotation
-invariant so every computation reduces to the radial profile:
+invariant so every computation reduces to one radial variable:
 
 * ``PowerWeight(p)``: absolutely continuous with density (1 + |y|)^p.
 * ``AnnulusSeries(growth, gap, r)``: density |y|^(-r) restricted to the
@@ -14,13 +14,15 @@ invariant so every computation reduces to the radial profile:
 Sequences f, h, s are either parametric pure powers of n or finite tables
 with an optional power-law tail rule. A table without a tail rule leaves
 the far behaviour of the measure undefined: downstream decisions that need
-the tail report Inconclusive rather than guessing.
+the tail report Inconclusive rather than guessing. ``Seq.index`` is the one
+inverse of a sequence, from a radius back to a real index; every lookup of
+the window or shell near a radius goes through it.
 
 Each family class is the one home of its facts: ``family`` (its config
 name), its config forms (``spec_keys``, ``from_spec``, ``grid_params``),
 ``params``, ``support_scale``, ``truncated``, ``singular`` (no pointwise
-density), ``require_admissible``, ``weight_fn``, the scalar ``density``
-and its radial ``profile``. ``FAMILIES`` maps names to classes, and
+density), ``require_admissible``, ``weight_fn`` and the scalar
+``density``. ``FAMILIES`` maps names to classes, and
 ``family_class``, through which every layer dispatches, is the one place
 that rejects a non-family object.
 """
@@ -32,10 +34,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NotAdmissible, ShellOverlap, SingularMeasure
-from .kernels import sphere_surface_area
 
 __all__ = [
     "Seq",
@@ -47,8 +47,6 @@ __all__ = [
     "MeasureSpec",
     "AdmissibilityResult",
     "admissibility_check",
-    "RadialProfile",
-    "radial_marginal",
     "evaluate_density",
     "smoothed_density",
     "radial_weight_fn",
@@ -151,6 +149,26 @@ class Seq:
         out[~within] = log_last + self.tail_exponent * np.log(n[~within] / cnt)
         return out
 
+    def index(self, v, side: str = "left"):
+        """Real index at which the (increasing) rule reaches v, vectorized over v.
+
+        Inside a table: the insertion position of v (``np.searchsorted``
+        with the given side), so side="left" maps values[k] to k and
+        side="right" maps it to k + 1. Past the table: the inverted tail
+        rule, or the table length when there is none. Parametric:
+        v^(1/exponent). inf where the index leaves the float range.
+        """
+        v = np.asarray(v, dtype=float)
+        with np.errstate(over="ignore"):
+            if self.is_parametric:
+                return v ** (1.0 / self.exponent)
+            vals = np.asarray(self.values)
+            out = np.searchsorted(vals, v, side=side).astype(float)
+            if self.tail_exponent is None:
+                return out
+            tail = len(vals) * (v / vals[-1]) ** (1.0 / self.tail_exponent)
+            return np.where(v > vals[-1], tail, out)
+
 
 def _float(v) -> float:
     """float(v) for a config parameter; NaN, Infinity and out-of-range ints are errors."""
@@ -199,10 +217,6 @@ def _seq_params(seq: Seq) -> dict:
     if seq.tail_exponent is not None:
         out["tail_exponent"] = seq.tail_exponent
     return out
-
-
-def _no_atoms(lo, hi):
-    return np.empty(0), np.empty(0)
 
 
 class _Family:
@@ -265,13 +279,6 @@ class PowerWeight(_Family):
     def weight_fn(self, smoothing_eps=None):
         p = self.p
         return lambda s: (1.0 + np.asarray(s, dtype=float)) ** p
-
-    def profile(self, dim: int, omega: float) -> "RadialProfile":
-        p = self.p
-        dens = lambda s: omega * np.asarray(s, dtype=float) ** (dim - 1) * (1.0 + np.asarray(s, dtype=float)) ** p
-        return RadialProfile(
-            dim, math.inf, dens, lambda lo, hi: [(lo, hi)] if lo < hi else [], _no_atoms
-        )
 
 
 @dataclass(frozen=True)
@@ -360,19 +367,6 @@ class AnnulusSeries(_Family):
 
         return w_ann
 
-    def profile(self, dim: int, omega: float) -> "RadialProfile":
-        self.require_admissible()
-        r = self.r
-
-        def dens(s):
-            s = np.asarray(s, dtype=float)
-            mult = _annulus_membership(self, s)
-            return omega * mult * np.where(s > 0, s, 1.0) ** (dim - 1 - r)
-
-        return RadialProfile(
-            dim, math.inf, dens, lambda lo, hi: _annulus_pieces(self, lo, hi), _no_atoms
-        )
-
 
 @dataclass(frozen=True)
 class SphereSeries(_Family):
@@ -446,21 +440,6 @@ class SphereSeries(_Family):
 
         return w_sph
 
-    def profile(self, dim: int, omega: float) -> "RadialProfile":
-        r = self.r
-
-        def atoms(lo, hi):
-            n_lo, n_hi = _sphere_atom_indices(self, lo, hi)
-            if n_hi < n_lo:
-                return np.empty(0), np.empty(0)
-            n = np.arange(n_lo, n_hi + 1)
-            radii = self.radii(n)
-            keep = (radii >= lo) & (radii <= hi)
-            radii = radii[keep]
-            return radii, radii**-r * omega * radii ** (dim - 1)
-
-        return RadialProfile(dim, math.inf, None, lambda lo, hi: [], atoms)
-
 
 @dataclass(frozen=True)
 class BoundaryPower(_Family):
@@ -505,33 +484,6 @@ class BoundaryPower(_Family):
                 return np.where(inside, np.where(inside, R - s, 1.0) ** -r, 0.0)
 
         return w_bnd
-
-    def profile(self, dim: int, omega: float) -> "RadialProfile":
-        R, r = self.radius, self.r
-
-        def dens(s):
-            s = np.asarray(s, dtype=float)
-            inside = s < R
-            with np.errstate(divide="ignore"):
-                return np.where(
-                    inside,
-                    omega * s ** (dim - 1) * np.where(inside, R - s, 1.0) ** -r,
-                    0.0,
-                )
-
-        def known_mass(lo, hi):
-            if r >= 1.0 and hi >= R and lo < R:
-                return math.inf
-            return None
-
-        return RadialProfile(
-            dim,
-            R,
-            dens,
-            lambda lo, hi: [(lo, min(hi, R))] if lo < min(hi, R) else [],
-            _no_atoms,
-            mass_override=known_mass,
-        )
 
 
 MeasureSpec = Union[PowerWeight, AnnulusSeries, SphereSeries, BoundaryPower]
@@ -644,23 +596,6 @@ def _safe_index(real_index: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(real_index), 1.0, _INDEX_CAP).astype(np.int64)
 
 
-def _window_index_base(mu: AnnulusSeries, s: np.ndarray) -> np.ndarray:
-    """Largest n with a_n <= s (approximately); candidates are base, base+1."""
-    g = mu.growth
-    if g.is_parametric:
-        return _safe_index(np.maximum(s, g(1)) ** (1.0 / g.exponent))
-    vals = np.asarray(g.values)
-    base = np.maximum(np.searchsorted(vals, s, side="right"), 1).astype(np.int64)
-    if g.tail_exponent is not None:
-        beyond = s > vals[-1]
-        if beyond.any():
-            base = base.copy()
-            base[beyond] = _safe_index(
-                len(vals) * (s[beyond] / vals[-1]) ** (1.0 / g.tail_exponent)
-            )
-    return base
-
-
 def _annulus_membership(mu: AnnulusSeries, s: np.ndarray) -> np.ndarray:
     """Multiplicity of coverage of radius s by the annuli (0 or 1 if admissible).
 
@@ -670,7 +605,10 @@ def _annulus_membership(mu: AnnulusSeries, s: np.ndarray) -> np.ndarray:
     handled by the classifier.
     """
     s = np.asarray(s, dtype=float)
-    base = _window_index_base(mu, s)
+    # largest n with a_n <= s (approximately); candidates are base, base + 1.
+    # side="right" puts a radius shared by two touching windows in the later
+    # one only, so its candidates never count the same radius twice
+    base = _safe_index(mu.growth.index(s, side="right"))
     cap = mu.hard_cap
     mult = np.zeros(s.shape, dtype=np.int64)
     for dn in (0, 1):
@@ -690,18 +628,7 @@ def _shell_hits(mu: SphereSeries, s: np.ndarray, eps: float):
     """(hit mask, shell radius) for each sample radius; raises on overlap."""
     s = np.asarray(s, dtype=float)
     seq = mu.radii
-    if seq.is_parametric:
-        base = _safe_index(np.round(np.maximum(s, 1e-300) ** (1.0 / seq.exponent)))
-    else:
-        vals = np.asarray(seq.values)
-        base = np.clip(np.searchsorted(vals, s), 1, None).astype(np.int64)
-        if seq.tail_exponent is not None:
-            beyond = s > vals[-1]
-            if beyond.any():
-                base = base.copy()
-                base[beyond] = _safe_index(
-                    np.round(len(vals) * (s[beyond] / vals[-1]) ** (1.0 / seq.tail_exponent))
-                )
+    base = _safe_index(np.round(seq.index(s)))
     cap = mu.hard_cap
     hit = np.zeros(s.shape, dtype=bool)
     radius = np.zeros_like(s)
@@ -727,19 +654,18 @@ def _shell_hits(mu: SphereSeries, s: np.ndarray, eps: float):
     return hit, radius
 
 
+_MAX_SHELLS = 10_000_000
+
+
 def default_smoothing_eps(mu: SphereSeries, max_radius: float) -> float:
-    """min(0.05, smallest shell gap / 4) over shells up to max_radius."""
+    """min(0.05, smallest shell gap / 4) over shells up to max_radius.
+
+    At most the first 10^7 shells are scanned, however far max_radius reaches.
+    """
     seq = mu.radii
-    if seq.is_parametric:
-        n_hi = max(2, int(math.ceil(max_radius ** (1.0 / seq.exponent))) + 1)
-    else:
-        n_hi = seq.table_len
-        if seq.tail_exponent is not None and seq(n_hi) < max_radius:
-            n_hi = max(
-                n_hi,
-                int(math.ceil(n_hi * (max_radius / seq(seq.table_len)) ** (1.0 / seq.tail_exponent))) + 1,
-            )
-    n_hi = min(n_hi, 10_000_000)
+    reach = min(float(seq.index(max_radius)), _MAX_SHELLS)
+    # the whole table, or two shells of a parametric rule, at the least
+    n_hi = min(max(seq.table_len or 2, math.ceil(reach) + 1), mu.hard_cap or _MAX_SHELLS)
     n = np.arange(1, n_hi + 1)
     gaps = np.diff(seq(n))
     min_gap = float(gaps.min()) if gaps.size else math.inf
@@ -781,103 +707,6 @@ def radial_weight_fn(
     if mu is None:
         return lambda s: np.zeros_like(np.asarray(s, dtype=float))
     return family_class(mu).weight_fn(mu, smoothing_eps)
-
-
-# ---------------------------------------------------------------------------
-# radial marginal
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Pushforward of mu under y -> |y|: a.c. density plus an atom list.
-
-    ``density`` includes the surface factor omega_d s^(d-1); ``pieces``
-    lists the smoothness intervals of the density inside a window;
-    ``atoms`` lists (radii, masses) inside a window. Windows must be
-    finite when the support is unbounded. ``mass_override`` settles windows
-    whose mass is known analytically (in particular divergent ones).
-    """
-
-    dim: int
-    support_upper: float
-    density: Optional[Callable]
-    pieces: Callable
-    atoms: Callable
-    mass_override: Optional[Callable] = None
-
-    def mass(self, lo: float = 0.0, hi: Optional[float] = None) -> float:
-        if hi is None:
-            if not math.isfinite(self.support_upper):
-                raise ValueError("unbounded support: pass a finite window")
-            hi = self.support_upper
-        if self.mass_override is not None:
-            known = self.mass_override(lo, hi)
-            if known is not None:
-                return known
-        total = 0.0
-        if self.density is not None:
-            for a, b in self.pieces(lo, hi):
-                val, _ = integrate.quad(
-                    lambda t: float(self.density(np.array([t]))[0]),
-                    a,
-                    b,
-                    epsabs=1e-12,
-                    epsrel=1e-10,
-                    limit=200,
-                )
-                total += val
-        radii, masses = self.atoms(lo, hi)
-        total += float(np.sum(masses))
-        return total
-
-
-_MAX_ENUMERATED = 2_000_000
-
-
-def _annulus_pieces(mu: AnnulusSeries, lo: float, hi: float):
-    g = mu.growth
-    if g.is_parametric:
-        n = max(1, int(math.floor(lo ** (1.0 / g.exponent))) if lo > 1 else 1)
-    else:
-        n = max(1, int(np.searchsorted(np.asarray(g.values), lo, side="right")))
-    out = []
-    while g.covers(n) and mu.gap.covers(n):
-        a, b = mu.window(n)
-        if a > hi:
-            break
-        seg = (max(a, lo), min(b, hi))
-        if seg[0] < seg[1]:
-            out.append(seg)
-        n += 1
-        if len(out) > _MAX_ENUMERATED:
-            raise ValueError("window too wide: too many annuli to enumerate")
-    return out
-
-
-def _sphere_atom_indices(mu: SphereSeries, lo: float, hi: float):
-    seq = mu.radii
-    if not math.isfinite(hi):
-        raise ValueError("unbounded support: pass a finite window")
-    if seq.is_parametric:
-        n_lo = max(1, int(math.ceil(lo ** (1.0 / seq.exponent) - 1e-9))) if lo > 0 else 1
-        n_hi = int(math.floor(hi ** (1.0 / seq.exponent) + 1e-9))
-    else:
-        vals = np.asarray(seq.values)
-        n_lo = int(np.searchsorted(vals, lo, side="left")) + 1
-        n_hi = int(np.searchsorted(vals, hi, side="right"))
-        if seq.tail_exponent is not None and hi > vals[-1]:
-            cnt = len(vals)
-            n_hi = int(math.floor(cnt * (hi / vals[-1]) ** (1.0 / seq.tail_exponent) + 1e-9))
-    if n_hi - n_lo > _MAX_ENUMERATED:
-        raise ValueError("window too wide: too many shells to enumerate")
-    return n_lo, n_hi
-
-
-def radial_marginal(mu: MeasureSpec, dim: int) -> RadialProfile:
-    """One-dimensional radial reduction of mu in R^dim."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return family_class(mu).profile(mu, dim, sphere_surface_area(dim))
 
 
 def support_scale(mu: MeasureSpec) -> float:

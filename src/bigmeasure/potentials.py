@@ -6,7 +6,9 @@ with the *idealized* kernel (no normalizing constant; multiply by
 Rotation invariance reduces everything to one radial integral against the
 shell-averaged kernel kbar(rho, s), a closed-form 2F1 (see
 :mod:`bigmeasure.kernels`): adaptive quadrature with singularity splitting
-near s = rho, fixed Gauss-Legendre panels per annulus window, and a midpoint
+near s = rho, log-coordinate Gauss-Legendre panels on the smooth stretch
+between a power weight's bulk and a far probe, fixed Gauss-Legendre panels
+per annulus window, and a midpoint
 Euler-Maclaurin closure for the infinite series tails. The integrands take
 whole arrays of radii, so each panel set and each tail is one kernel call.
 
@@ -35,7 +37,6 @@ from .measures import (
     BoundaryPower,
     MeasureSpec,
     PowerWeight,
-    Seq,
     SphereSeries,
     family_class,
     support_scale,
@@ -200,26 +201,6 @@ def _em_sum(f, lo, hi, tol, exponent=None, x_cap=None):
     return val + corr, err + 0.02 * abs(corr), ne
 
 
-def _real_seq_value(seq: Seq, x):
-    """Smooth continuation of seq at real index x (beyond any table)."""
-    if seq.is_parametric:
-        return x**seq.exponent
-    cnt = seq.table_len
-    return float(seq.values[-1]) * (np.asarray(x, dtype=float) / cnt) ** seq.tail_exponent
-
-
-def _real_index(seq: Seq, rho: float) -> float:
-    """Continuous index where the smooth continuation reaches rho (0 if below range)."""
-    if seq.is_parametric:
-        return rho ** (1.0 / seq.exponent) if rho > 0 else 0.0
-    vals = np.asarray(seq.values, dtype=float)
-    if rho <= vals[-1]:
-        return float(np.searchsorted(vals, rho))
-    if seq.tail_exponent is None:
-        return float(seq.table_len)
-    return seq.table_len * (rho / float(vals[-1])) ** (1.0 / seq.tail_exponent)
-
-
 def _interval_batch(a, w, rho, integrand, tol):
     """Integrate over the disjoint intervals [a_i, a_i + w_i].
 
@@ -294,9 +275,25 @@ def _power_weight_potential(mu, rho, model, gfun, g_tail, g_top, tol):
     divergent = bare_div and (gfun is None or g_tail > 0.0)
     # past the last gauge knot the gauge is constant, so the integrand is
     # smooth there; fold the knots into the adaptive near-field part
-    cut = max(2.0 * rho + 2.0, 4.0, g_top if g_top is not None else 0.0)
-    pts = [rho] if 0.0 < rho < cut else None
-    near, err1, n1 = _quad(F, 0.0, cut, tol, points=pts)
+    bulk = max(4.0, g_top if g_top is not None else 0.0)
+    cut, cap = max(2.0 * rho + 2.0, bulk), _radius_cap(d)
+    if not cut <= cap:
+        raise ValueError(
+            f"probe radius {rho:g} is too far out: the near field reaches {cut:g}, past "
+            f"radius {cap:g} where the surface factor leaves the float range in d={d}"
+        )
+    if rho > 2.0 * bulk:
+        # the weight near |y| ~ 1 is a tiny share of [0, cut] for a far probe,
+        # and one adaptive rule over all of it can miss it entirely: split the
+        # smooth stretch between the bulk and the kink at rho off into log panels
+        pieces = [
+            _quad(F, 0.0, bulk, tol),
+            _log_quad(F, bulk, 0.5 * rho, tol),
+            _quad(F, 0.5 * rho, cut, tol, points=[rho]),
+        ]
+    else:
+        pieces = [_quad(F, 0.0, cut, tol, points=[rho] if 0.0 < rho < cut else None)]
+    near, err1, n1 = (sum(column) for column in zip(*pieces))
     witness = {"tail_exponent": tail_exp, "threshold": -1.0}
     if divergent:
         marks = {}
@@ -308,7 +305,7 @@ def _power_weight_potential(mu, rho, model, gfun, g_tail, g_top, tol):
         return PotentialResult(math.inf, True, math.inf, n1, near, witness)
     if gfun is not None and g_tail == 0.0:
         return PotentialResult(near, False, err1, n1, near, witness)
-    far, err2, n2 = _tail_integral(F, cut, tail_exp, tol, x_cap=_radius_cap(d))
+    far, err2, n2 = _tail_integral(F, cut, tail_exp, tol, x_cap=cap)
     return PotentialResult(near + far, False, err1 + err2, n1 + n2, near, witness)
 
 
@@ -330,19 +327,19 @@ def _series_potential(mu, noun, block, f, rho, model, gfun, g_tail, g_top, tol):
     """Potential of a measure made of one term per index n = 1, 2, ...
 
     The family's first sequence (growth or radii) places the probe radius
-    and the gauge knots on the index axis. ``block(n, at)`` sums the terms
-    of the indices n with sequence values ``at(seq, n)`` and returns (value,
-    error estimate, whether a term is infinite); ``f(x)`` is the term at
-    real indices x, smooth past every table, for the Euler-Maclaurin
-    stretches. The head and the stretch around the probe index go through
-    ``block``, the rest through ``_em_sum``.
+    and the gauge knots on the index axis (``Seq.index``). ``block(n)`` sums
+    the terms of the indices n and returns (value, error estimate, whether
+    a term is infinite); ``f(x)`` is the term at real indices x past every
+    table, where each sequence is its smooth tail rule, for the
+    Euler-Maclaurin stretches. The head and the stretch around the probe
+    index go through ``block``, the rest through ``_em_sum``.
     """
     lead, hard_cap = mu.seqs[0], mu.hard_cap
     head_n = max([_DIRECT_HEAD] + [seq.table_len for seq in mu.seqs])
     if g_top is not None:
         # enumerate every term the gauge table can vary on; past the last
         # knot the gauge is constant and the tail machinery applies
-        head_n = max(head_n, int(math.ceil(_real_index(lead, g_top))) + 1)
+        head_n = max(head_n, math.ceil(min(lead.index(g_top), _MAX_DIRECT)) + 1)
     if hard_cap is not None:
         head_n = min(head_n, hard_cap)
     if head_n > _MAX_DIRECT:
@@ -350,7 +347,7 @@ def _series_potential(mu, noun, block, f, rho, model, gfun, g_tail, g_top, tol):
 
     exponent = mu.series_exponent(model.alpha)
     witness = {"tail_exponent": exponent, "threshold": -1.0}
-    value, err, singular = block(np.arange(1, head_n + 1, dtype=float), Seq.__call__)
+    value, err, singular = block(np.arange(1, head_n + 1, dtype=float))
     compact, terms = value, head_n
 
     def probe_on_a_shell():
@@ -381,11 +378,11 @@ def _series_potential(mu, noun, block, f, rho, model, gfun, g_tail, g_top, tol):
         # the gauge vanishes beyond its last knot and the head covers it
         return PotentialResult(value, False, err, terms, compact, witness)
 
-    x_cap = _real_index(lead, _radius_cap(model.dim))
-    span, stretches, capped = _tail_plan(head_n, _real_index(lead, rho))
+    x_cap = float(lead.index(_radius_cap(model.dim)))
+    span, stretches, capped = _tail_plan(head_n, float(lead.index(rho)))
     if span is not None:
         lo, hi, near_head = span
-        v, e, singular = block(np.arange(lo + 1, hi + 1, dtype=float), _real_seq_value)
+        v, e, singular = block(np.arange(lo + 1, hi + 1, dtype=float))
         if singular:
             return probe_on_a_shell()
         value += v
@@ -406,15 +403,15 @@ def _window_series_potential(mu, rho, model, gfun, g_tail, g_top, tol):
     mu.require_admissible()
     integrand = _series_integrand(rho, model, mu.r, gfun)
 
-    def block(n, at):
-        a = at(mu.growth, n)
-        v, e, _ = _interval_batch(a, a * at(mu.gap, n), rho, integrand, tol)
+    def block(n):
+        a = mu.growth(n)
+        v, e, _ = _interval_batch(a, a * mu.gap(n), rho, integrand, tol)
         return v, e, False
 
     def f(x):
         # window integrals at real indices x, on an (N, 16) Gauss node grid
-        a = _real_seq_value(mu.growth, x)
-        half = 0.5 * (a * _real_seq_value(mu.gap, x))
+        a = mu.growth(x)
+        half = 0.5 * (a * mu.gap(x))
         s = (a + half)[:, None] + half[:, None] * _GL_NODES
         return (integrand(s.ravel()).reshape(s.shape) @ _GL_WEIGHTS) * half
 
@@ -424,13 +421,13 @@ def _window_series_potential(mu, rho, model, gfun, g_tail, g_top, tol):
 def _sphere_series_potential(mu, rho, model, gfun, g_tail, g_top, tol):
     integrand = _series_integrand(rho, model, mu.r, gfun)
 
-    def block(n, at):
-        terms = integrand(at(mu.radii, n))
+    def block(n):
+        terms = integrand(mu.radii(n))
         finite = np.isfinite(terms)
         return float(terms[finite].sum()), 0.0, not finite.all()
 
     def f(x):
-        return integrand(_real_seq_value(mu.radii, x))
+        return integrand(mu.radii(x))
 
     return _series_potential(mu, "shells", block, f, rho, model, gfun, g_tail, g_top, tol)
 

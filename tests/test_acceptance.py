@@ -13,6 +13,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from conftest import record_criterion
 
@@ -183,6 +184,7 @@ def test_criterion_05_integral_identity():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_06_big_vs_nonbig_curves():
     """MC gauge curves land on the right side for both generators."""
     failures = []

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from bigmeasure.measures import (
     default_smoothing_eps,
     describe,
     evaluate_density,
-    radial_marginal,
     radial_weight_fn,
     smoothed_density,
     support_scale,
@@ -51,6 +51,44 @@ def test_seq_power_and_table():
         Seq.table([1.0, -2.0])
     assert Seq.power(2.0).tail_power() == 2.0
     assert Seq.table([1.0]).tail_power() is None
+
+
+_INCREASING = st.one_of(
+    st.floats(0.01, 4.0).map(Seq.power),
+    st.builds(
+        lambda steps, tail: Seq.table(np.cumsum(steps), tail_exponent=tail),
+        st.lists(st.floats(0.01, 10.0), min_size=1, max_size=8),
+        st.floats(0.01, 4.0),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seq=_INCREASING,
+    past=st.floats(1.0, 1e6),
+    v=st.lists(st.floats(0.0, 1e300), min_size=2, max_size=16),
+)
+def test_seq_index_inverts_the_rule(seq, past, v):
+    # past the table: the inverse of the rule
+    n = seq.table_len + past
+    assert float(seq.index(seq(n))) == pytest.approx(n, rel=1e-9)
+    # inside a table: the insertion position, 0-based on side left
+    k = np.arange(seq.table_len)
+    assert np.array_equal(seq.index(np.array(seq.values or [])), k)
+    assert np.array_equal(seq.index(np.array(seq.values or []), side="right"), k + 1)
+    v = np.sort(np.array(v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx = seq.index(v)
+    assert np.all(idx[1:] >= idx[:-1])
+    # inf, silently, exactly where the index leaves the float range
+    cnt, last = (seq.table_len, seq.values[-1]) if seq.values else (1, 1.0)
+    with np.errstate(divide="ignore"):
+        log_idx = math.log(cnt) + (np.log(v) - math.log(last)) / seq.tail_power()
+    beyond = v > last if seq.values else v > 0.0
+    assert np.all(np.isinf(idx[beyond & (log_idx > 709.9)]))
+    assert np.all(np.isfinite(idx[~beyond | (log_idx < 709.7)]))
 
 
 def test_admissibility_parametric():
@@ -152,52 +190,6 @@ def test_annulus_family_validation():
         radial_weight_fn(AnnulusSeries.parametric(p=0.5, q=0.6, r=1.0))
 
 
-def test_power_weight_ball_mass():
-    prof = radial_marginal(PowerWeight(0.0), 3)
-    assert prof.mass(0.0, 1.0) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-9)
-    prof2 = radial_marginal(PowerWeight(0.0), 2)
-    assert prof2.mass(0.0, 2.0) == pytest.approx(math.pi * 4.0, rel=1e-9)
-
-
-def test_annulus_first_window_mass():
-    # f(n) = n, h(n) = 1/n: first window is [1, 2]; with r = 0 its mass in
-    # R^3 is (4 pi / 3)(2^3 - 1) = (4 pi / 3) * 7
-    mu = AnnulusSeries.parametric(p=1.0, q=1.0, r=0.0)
-    prof = radial_marginal(mu, 3)
-    assert prof.mass(0.9, 2.0) == pytest.approx(4.0 * math.pi / 3.0 * 7.0, rel=1e-9)
-    # with the density exponent: mass of [1,2] at r = 2 is 4 pi int_1^2 1 ds
-    mu = AnnulusSeries.parametric(p=1.0, q=1.0, r=2.0)
-    prof = radial_marginal(mu, 3)
-    assert prof.mass(0.9, 2.0) == pytest.approx(4.0 * math.pi, rel=1e-9)
-
-
-def test_sphere_atoms():
-    mu = SphereSeries.parametric(p=1.0, r=3.0)
-    prof = radial_marginal(mu, 3)
-    radii, masses = prof.atoms(1.5, 3.5)
-    assert np.allclose(radii, [2.0, 3.0])
-    # mass of shell n: s_n^(-r) * omega_3 * s_n^2
-    assert masses[0] == pytest.approx(2.0**-3 * 4 * math.pi * 4.0)
-    assert prof.mass(1.5, 3.5) == pytest.approx(float(np.sum(masses)))
-    assert prof.density is None
-
-
-def test_marginal_matches_3d_monte_carlo():
-    # two independent routes to int (1+|y|)^(-2) dy over the ball |y| <= 2
-    mu = PowerWeight(-2.0)
-    expected = radial_marginal(mu, 3).mass(0.0, 2.0)
-    rng = np.random.default_rng(314)
-    n = 2_000_000
-    pts = rng.uniform(-2.0, 2.0, size=(n, 3))
-    norms = np.linalg.norm(pts, axis=1)
-    inside = norms <= 2.0
-    vals = np.where(inside, (1.0 + norms) ** -2.0, 0.0)
-    vol = 4.0**3
-    mc = vals.mean() * vol
-    se = vals.std(ddof=1) / math.sqrt(n) * vol
-    assert abs(mc - expected) <= 4 * se
-
-
 def test_evaluate_density():
     assert evaluate_density(PowerWeight(-2.0), [1.0, 0.0, 0.0]) == pytest.approx(0.25)
     mu = AnnulusSeries.parametric(p=1.0, q=1.5, r=2.0)
@@ -258,6 +250,13 @@ def test_radial_weight_fn_matches_pointwise():
     assert np.all(zero(radii) == 0.0)
 
 
+def test_touching_windows_count_their_shared_radius_once():
+    # tabulated windows [1, 2], [2, 4], [4, 5] touch; each shared endpoint
+    # belongs to one window, as at every radius of an admissible family
+    mu = AnnulusSeries(Seq.table([1, 2, 4], 1.0), Seq.table([1, 1, 0.25], -2.0), 0.0)
+    assert list(radial_weight_fn(mu)(np.array([2.0, 4.0]))) == [1.0, 1.0]
+
+
 def test_weight_fn_far_radii_no_overflow():
     # stable paths can wander very far; the window lookup must stay sane
     mu = AnnulusSeries.parametric(p=0.5, q=1.5, r=1.0)
@@ -276,13 +275,15 @@ def test_default_smoothing_eps():
     eps = default_smoothing_eps(mu, 10.0)
     gaps = np.diff(np.sqrt(np.arange(1, 102)))
     assert eps == pytest.approx(min(0.05, gaps.min() / 4))
-
-
-def test_boundary_mass_divergence():
-    prof = radial_marginal(BoundaryPower(r=1.5, radius=1.0), 3)
-    assert prof.mass(0.0, 1.0) == math.inf
-    prof = radial_marginal(BoundaryPower(r=0.5, radius=1.0), 3)
-    assert np.isfinite(prof.mass(0.0, 1.0))
+    # radii n^0.01: the shell index of radius 1270 leaves the float range, and
+    # such a reach scans the first 10^7 shells like any other far reach does;
+    # the tightest gap among them is the last one, n^0.01 - (n - 1)^0.01
+    mu = SphereSeries.parametric(0.01, 1.0)
+    n = 1e7
+    last_gap = -(n**0.01) * math.expm1(0.01 * math.log1p(-1.0 / n))
+    eps = default_smoothing_eps(mu, 1270.0)
+    assert eps == pytest.approx(last_gap / 4, rel=1e-5)
+    assert eps == default_smoothing_eps(mu, 1.2)  # index 1.2^100 ~ 8e7, finite
 
 
 def test_density_rotation_invariant():
@@ -319,7 +320,6 @@ def test_describe_and_support_scale():
     pytest.param(describe, id="describe"),
     pytest.param(support_scale, id="support_scale"),
     pytest.param(lambda mu: evaluate_density(mu, 1.0), id="evaluate_density"),
-    pytest.param(lambda mu: radial_marginal(mu, 3), id="radial_marginal"),
 ])
 def test_non_family_objects_get_one_type_error(call):
     with pytest.raises(TypeError, match="^not a measure family: str$"):

@@ -102,6 +102,52 @@ def test_annulus_sqrt_series_oracle():
     assert abs(res.value - ANNULUS_SQRT_ORACLE) <= res.abs_error
 
 
+def test_slow_growth_series_potentials_stay_finite():
+    # growth and radii n^0.25: the index of the tail cap radius, (1e100)^4,
+    # leaves the float range
+    res = riesz_potential(SphereSeries.parametric(p=0.25, r=6.0), 0.0, M32)
+    assert res.value == pytest.approx(OMEGA3 * float(special.zeta(1.375)), rel=1e-8)
+    # annuli [a_n, a_n (1 + n^-3)], a_n = n^0.25, weight s^-2, probed at 0:
+    # window n holds 2 omega (a_n^-1/2 - b_n^-1/2); the terms past 10^6
+    # add about 1e-12
+    n = np.arange(1, 10**6 + 1, dtype=float)
+    windows = -2.0 * OMEGA3 * n**-0.125 * np.expm1(-0.5 * np.log1p(n**-3.0))
+    res = riesz_potential(AnnulusSeries.parametric(p=0.25, q=3.0, r=2.0), 0.0, M32)
+    assert res.value == pytest.approx(math.fsum(windows), rel=1e-8)
+
+
+def test_probe_on_a_table_entry():
+    # a probe radius equal to table entry k sits at index k - 1 (side left),
+    # which places the exactly summed span around the kernel kink; values
+    # and term counts written before the index lookups were merged
+    mu = SphereSeries(Seq.table([float(n) for n in range(1, 101)], tail_exponent=1.0), 3.0)
+    for rho, value, terms in ((80.0, 0.10142637822380333, 143), (100.0, 0.07537684339934202, 163)):
+        res = riesz_potential(mu, rho, M32)
+        assert (res.value, res.terms_used) == (value, terms)
+
+
+def newton_power_m4(rho: float) -> float:
+    """U(rho) of the density (1+|y|)^-4 for alpha=2, d=3 (Newton's theorem)."""
+    a = 1.0 / (1.0 + rho)
+    outer = a * a / 2.0 - a ** 3 / 3.0
+    if rho == 0.0:
+        return 4.0 * math.pi * outer
+    inner = (1.0 / 3.0 - a + a * a - a ** 3 / 3.0) / rho
+    return 4.0 * math.pi * (inner + outer)
+
+
+def test_power_weight_far_probes_match_newton():
+    mu = PowerWeight(-4.0)
+    for k in range(1, 100, 2):
+        rho = 10.0**k
+        assert riesz_potential(mu, rho, M23).value == pytest.approx(newton_power_m4(rho), rel=1e-9)
+    # the near field [0, 2 rho + 2] past radius 1e100, where s^2 leaves the
+    # float range in d = 3, is an error, never a NaN or a negative value
+    for rho in (1e100, 1e150):
+        with pytest.raises(ValueError, match="too far out"):
+            riesz_potential(mu, rho, M23)
+
+
 def test_direct_head_size_does_not_matter(monkeypatch):
     mu = AnnulusSeries.parametric(p=1.0, q=2.0, r=1.0)
     mus = SphereSeries.parametric(p=1.0, r=3.0)
