@@ -24,7 +24,7 @@ from . import __version__
 from .classifier import classify
 from .errors import HypothesisViolated, ParseError, ValidationError
 from .kernels import KernelModel
-from .measures import FAMILIES, default_smoothing_eps, describe
+from .measures import FAMILIES, default_smoothing_eps, describe, point_radius
 from .potentials import potential_decay_check, riesz_potential
 from .simulate import (
     Brownian,
@@ -449,7 +449,7 @@ def _auto_eps(cfg: ExperimentConfig, mu) -> Optional[float]:
         return None
     if cfg.smoothing_eps is not None:
         return cfg.smoothing_eps
-    start = 0.0 if cfg.x is None else float(np.linalg.norm(cfg.x))
+    start = 0.0 if cfg.x is None else point_radius(cfg.x)
     t_max = cfg.horizons[-1] if cfg.horizons else 1.0
     reach = start + 8.0 * (2.0 * t_max) ** (1.0 / cfg.alpha) + 10.0
     return default_smoothing_eps(mu, reach)

@@ -654,42 +654,55 @@ def _shell_hits(mu: SphereSeries, s: np.ndarray, eps: float):
     return hit, radius
 
 
-_MAX_SHELLS = 10_000_000
-
-
 def default_smoothing_eps(mu: SphereSeries, max_radius: float) -> float:
-    """min(0.05, smallest shell gap / 4) over shells up to max_radius.
+    """min(0.05, smallest shell gap / 4) over the shells up to max_radius.
 
-    At most the first 10^7 shells are scanned, however far max_radius reaches.
+    Table gaps are scanned. A power rule's gaps (parametric, or a table's
+    tail rule) are monotone: its tightest within reach is its first for an
+    exponent >= 1 and its last below 1, in closed form however far the
+    reach. ShellOverlap where a gap is under four ulps of its radius, which
+    no eps can resolve.
     """
     seq = mu.radii
-    reach = min(float(seq.index(max_radius)), _MAX_SHELLS)
     # the whole table, or two shells of a parametric rule, at the least
-    n_hi = min(max(seq.table_len or 2, math.ceil(reach) + 1), mu.hard_cap or _MAX_SHELLS)
-    n = np.arange(1, n_hi + 1)
-    gaps = np.diff(seq(n))
-    min_gap = float(gaps.min()) if gaps.size else math.inf
-    if min_gap <= 0:
-        raise ShellOverlap("shells are not strictly increasing")
-    return min(0.05, min_gap / 4.0)
+    n_hi = max(seq.table_len or 2, float(np.ceil(seq.index(max_radius))) + 1.0)
+    n_hi = min(n_hi, mu.hard_cap or math.inf)
+    vals = np.asarray(seq.values or ())[: int(min(n_hi, seq.table_len))]
+    gaps, radii = list(np.diff(vals)), list(vals[1:])
+    first, q = (1.0, seq.exponent) if seq.is_parametric else (float(seq.table_len), seq.tail_exponent)
+    if q is not None and n_hi > first:
+        n = first if q >= 1.0 else n_hi - 1.0
+        # s(n + 1) - s(n) = s(n) ((1 + 1/n)^q - 1) without the cancellation; 0
+        # where the reach index leaves the float range
+        gaps.append(seq(n) * math.expm1(q * math.log1p(1.0 / n)) if n < math.inf else 0.0)
+        radii.append(seq(n + 1.0) if n < math.inf else max_radius)
+    gaps, radii = np.array(gaps), np.array(radii)
+    tight = gaps < 4.0 * np.spacing(radii)
+    if tight.any():
+        i = int(np.argmax(tight))
+        raise ShellOverlap(f"shells {gaps[i]:g} apart near radius {radii[i]:g} are below float resolution")
+    return float(min([0.05, *gaps / 4.0]))
 
 
 # ---------------------------------------------------------------------------
 # densities
 
 
+def point_radius(x) -> float:
+    """|x| of a number or coordinates; unlike np.linalg.norm, it does not overflow above 1.3e154."""
+    return math.hypot(*np.ravel(np.asarray(x, dtype=float)))
+
+
 def evaluate_density(mu: MeasureSpec, x) -> float:
     """Pointwise density of mu at x in R^d (w(x) in the PCAF integrand)."""
-    s = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    return family_class(mu).density(mu, s)
+    return family_class(mu).density(mu, point_radius(x))
 
 
 def smoothed_density(mu: SphereSeries, x, eps: float) -> float:
     """eps-shell approximation: s_n^(-r) / (2 eps) within distance eps of shell n."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    s = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    hit, radius = _shell_hits(mu, np.array([s]), eps)
+    hit, radius = _shell_hits(mu, np.array([point_radius(x)]), eps)
     if not hit[0]:
         return 0.0
     return float(radius[0]) ** -mu.r / (2.0 * eps)

@@ -507,6 +507,31 @@ def test_cli_exit_two_on_command_mismatch(tmp_path, capsys):
     assert "does not belong" in capsys.readouterr().err
 
 
+def test_cli_far_probe_is_a_clean_error(tmp_path, capsys):
+    # |x| = 1e200 squares past the float range; the probe radius must not
+    # (the suite turns numpy's overflow warning into an error)
+    path = _write(tmp_path, "p.json", {"task": "potential", "alpha": 2.0, "dim": 3,
+                                       "measure": {"family": "power_weight", "p": -4.0},
+                                       "radii": [1e200]})
+    assert run_cli(["potential", "--config", path]) == 2
+    assert "probe radius 1e+200 is too far out" in capsys.readouterr().err
+
+
+def test_cli_unresolvable_shells_stop_before_any_path(tmp_path, capsys, monkeypatch):
+    # radii n^0.01 within reach of 1000 time units: the shell gaps fall below
+    # float resolution, so no default smoothing eps exists
+    import bigmeasure.experiments as experiments_mod
+
+    def walked(*args, **kwargs):
+        raise AssertionError("a path was walked")
+
+    monkeypatch.setattr(experiments_mod, "estimate_gauge", walked)
+    cfg = _sim_config(measure={"family": "sphere_series", "p": 0.01, "r": 1.0}, alpha=1.5,
+                      horizons=[1000.0], dt=1.0, n_paths=200)
+    assert run_cli(["simulate", "--config", _write(tmp_path, "s.json", cfg)]) == 2
+    assert "below float resolution" in capsys.readouterr().err
+
+
 def test_cli_exit_one_on_failed_check(tmp_path, capsys):
     # p close to the divergence edge decays too slowly for the default fraction
     path = _write(tmp_path, "d.json", {"task": "decay-check", "alpha": 2.0, "dim": 3,

@@ -50,6 +50,29 @@ NEAR_COINCIDENCE = [
     (5, 1.999, 1e-09, 1.000640947343352),
 ]
 
+# The same, for alpha < 1 where the kernel blows up at coincidence, at 1e-13:
+# hyp2f1 at z = (m/M)^2 is off by up to 3.5e-10 here, the 1 - z connection
+# form is not. 50-digit mpmath with alpha and s the exact doubles; the 2F1
+# and the polar-angle (dim 3) or two-point (dim 1) average agreed to 1e-40.
+NEAR_COINCIDENCE_SINGULAR = [
+    (1, 0.3, 1e-09, 997631.48502099916418),
+    (1, 0.5, 1e-09, 15811.742077820883198),
+    (3, 0.3, 1e-09, 1425186.9577806044324),
+    (3, 0.5, 1e-09, 31622.069973701108826),
+]
+
+# Within 1e-14 of coincidence near alpha = 1, where hyp2f1 returns inf or its
+# z = 1 value (about 5000 at alpha = 1.0001); 50-digit mpmath of the 2F1 at
+# the exact double s, at 1e-13 as above.
+NEAR_COINCIDENCE_ALPHA_ONE = [
+    (3, 1.0, 1e-14, 16.465069039953552842),
+    (3, 1.0, 1e-09, 10.708206533352350402),
+    (2, 1.0, 1e-12, 9.4571410286557579337),
+    (3, 1.0001, 1e-14, 16.439128357382748019),
+    (5, 0.97, 1e-14, 39.928096795716207559),
+    (4, 1.03, 1e-11, 11.45145799682346362),
+]
+
 
 def test_newton_shell_oracle():
     # alpha = 2, dim = 3: potential of a uniform sphere is Newton's 1/max(rho, s)
@@ -122,6 +145,15 @@ def test_shell_average_near_coincidence_frozen(dim, alpha, delta, want):
     assert radial_shell_average(s, 1.0, alpha, dim) == pytest.approx(want, rel=1e-10)
     batch = shell_average_batch(1.0, np.array([s, 1.0 / s]), alpha, dim)
     assert batch[0] == pytest.approx(want, rel=1e-10)
+
+
+
+@pytest.mark.parametrize("dim, alpha, delta, want", NEAR_COINCIDENCE_SINGULAR + NEAR_COINCIDENCE_ALPHA_ONE)
+def test_shell_average_near_singular_coincidence_frozen(dim, alpha, delta, want):
+    s = 1.0 - delta
+    assert radial_shell_average(1.0, s, alpha, dim) == pytest.approx(want, rel=1e-13)
+    assert radial_shell_average(s, 1.0, alpha, dim) == pytest.approx(want, rel=1e-13)
+    assert shell_average_batch(1.0, np.array([s, 2.0]), alpha, dim)[0] == pytest.approx(want, rel=1e-13)
 
 
 _RADII = st.floats(1e-3, 1e3)

@@ -275,15 +275,39 @@ def test_default_smoothing_eps():
     eps = default_smoothing_eps(mu, 10.0)
     gaps = np.diff(np.sqrt(np.arange(1, 102)))
     assert eps == pytest.approx(min(0.05, gaps.min() / 4))
-    # radii n^0.01: the shell index of radius 1270 leaves the float range, and
-    # such a reach scans the first 10^7 shells like any other far reach does;
-    # the tightest gap among them is the last one, n^0.01 - (n - 1)^0.01
+    # radii n^0.01: radius 1.2 sits at index 1.2^100 ~ 8.3e7, and the tightest
+    # gap within reach is the last one, n^0.01 - (n - 1)^0.01 at n = ceil + 1
     mu = SphereSeries.parametric(0.01, 1.0)
-    n = 1e7
+    n = math.ceil(1.2**100) + 1.0
     last_gap = -(n**0.01) * math.expm1(0.01 * math.log1p(-1.0 / n))
-    eps = default_smoothing_eps(mu, 1270.0)
-    assert eps == pytest.approx(last_gap / 4, rel=1e-5)
-    assert eps == default_smoothing_eps(mu, 1.2)  # index 1.2^100 ~ 8e7, finite
+    assert default_smoothing_eps(mu, 1.2) == pytest.approx(last_gap / 4, rel=1e-9, abs=0.0)
+    # the index of radius 1270 leaves the float range: the gaps there are
+    # below float resolution, an error rather than an eps that covers two shells
+    with pytest.raises(ShellOverlap, match="float resolution"):
+        default_smoothing_eps(mu, 1270.0)
+
+
+def _scanned_eps(mu, max_radius):
+    """default_smoothing_eps by scanning every shell gap within reach."""
+    seq = mu.radii
+    n_hi = max(seq.table_len or 2, math.ceil(float(seq.index(max_radius))) + 1)
+    gaps = np.diff(seq(np.arange(1, n_hi + 1)))
+    return min(0.05, float(gaps.min()) / 4.0)
+
+
+def test_default_smoothing_eps_closed_form_matches_a_scan():
+    rules = [SphereSeries.parametric(p, 1.0) for p in (0.3, 0.5, 1.0, 1.5)]
+    rules.append(SphereSeries(Seq.table([1.0, 1.5, 1.75, 3.0, 3.1], tail_exponent=0.4), 1.0))
+    rules.append(SphereSeries(Seq.table([0.5, 0.52, 2.0], tail_exponent=2.0), 1.0))
+    for mu in rules:
+        for index in (1.0, 3.0, 4.5, 17.0, 1e3, 9.9e4):
+            radius = float(mu.radii(index))
+            assert default_smoothing_eps(mu, radius) == pytest.approx(_scanned_eps(mu, radius), rel=1e-9, abs=0.0)
+    # far reaches cost no scan: sqrt spacing out to radius 1e4 (index 1e8), where
+    # the last gap is sqrt(1e8 + 1) - 1e4
+    mu = SphereSeries.parametric(0.5, 1.0)
+    want = 1.0 / (math.sqrt(1e8 + 1.0) + 1e4) / 4
+    assert default_smoothing_eps(mu, 1e4) == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_density_rotation_invariant():
