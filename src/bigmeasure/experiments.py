@@ -31,6 +31,7 @@ from .simulate import (
     IsotropicStable,
     _derive_seed,
     _snap_steps,
+    _start_problem,
     estimate_gauge,
     rotation_invariance_check,
     verify_integral_identity,
@@ -65,6 +66,8 @@ TASKS = (
 )
 
 _COMMON_KEYS = {"task", "alpha", "dim", "measure", "out"}
+# tasks whose 'x' starts Monte Carlo paths (and sweep, with its MC column)
+_WALK_TASKS = ("simulate", "verify-identity", "rotation-check")
 _ALLOWED = {
     "classify": set(),
     "potential": {"x", "radii", "tol"},
@@ -294,6 +297,10 @@ def validate_config(raw) -> ExperimentConfig:
 
     dim_for_point = dim if dim is not None else 3
     x = _point(raw, "x", dim_for_point, errors)
+    if x is not None and (task in _WALK_TASKS or (task == "sweep" and raw.get("simulate"))):
+        problem = _start_problem(x)
+        if problem:
+            errors.append(f"'x': {problem}")
 
     radii = None
     if "radii" in raw:

@@ -436,7 +436,9 @@ class SphereSeries(_Family):
 
         def w_sph(s):
             hit, radius = _shell_hits(self, np.asarray(s, dtype=float), eps)
-            return np.where(hit, np.where(hit, radius, 1.0) ** -r / (2.0 * eps), 0.0)
+            w = np.zeros(hit.shape)
+            w[hit] = radius[hit] ** -r / (2.0 * eps)
+            return w
 
         return w_sph
 
@@ -624,15 +626,50 @@ def _annulus_membership(mu: AnnulusSeries, s: np.ndarray) -> np.ndarray:
     return mult
 
 
+# Relative slack of the shell prefilter: far above the rounding of s +- eps,
+# of a shell radius and of the index rule (a pow), far below a shell gap
+_INDEX_SLACK = 1e-9
+
+
+def _near_a_shell(seq: Seq, s: np.ndarray, eps: float) -> np.ndarray:
+    """Mask of the radii s whose index interval [index(s - eps), index(s + eps)]
+    can hold a shell index; every radius within eps of a shell is in it.
+
+    Both ends move out by _INDEX_SLACK, in radius and in index. A table
+    index counts the entries below s - eps (side="left") and those up to
+    s + eps (side="right"), so there the first candidate is one past the
+    lower index.
+    """
+    with np.errstate(over="ignore"):
+        lo_v = np.maximum(s * (1.0 - _INDEX_SLACK) - eps * (1.0 + _INDEX_SLACK), 0.0)
+        hi_v = s * (1.0 + _INDEX_SLACK) + eps * (1.0 + _INDEX_SLACK)
+        lo = seq.index(lo_v)
+        first = np.ceil(lo * (1.0 - _INDEX_SLACK))
+        if not seq.is_parametric:
+            table = True if seq.tail_exponent is None else lo_v <= seq.values[-1]
+            first = np.where(table, lo + 1.0, first)
+        return np.floor(seq.index(hi_v, side="right") * (1.0 + _INDEX_SLACK)) >= first
+
+
 def _shell_hits(mu: SphereSeries, s: np.ndarray, eps: float):
-    """(hit mask, shell radius) for each sample radius; raises on overlap."""
+    """(hit mask, shell radius) for each sample radius; raises on overlap.
+
+    Radii that ``_near_a_shell`` rules out miss every shell; the others are
+    matched against the three shells around round(index(s)).
+    """
     s = np.asarray(s, dtype=float)
     seq = mu.radii
-    base = _safe_index(np.round(seq.index(s)))
-    cap = mu.hard_cap
     hit = np.zeros(s.shape, dtype=bool)
     radius = np.zeros_like(s)
-    nhits = np.zeros(s.shape, dtype=np.int64)
+    near = _near_a_shell(seq, s, eps)
+    if not near.any():
+        return hit, radius
+    s_near = s[near]
+    base = _safe_index(np.round(seq.index(s_near)))
+    cap = mu.hard_cap
+    h = np.zeros(s_near.shape, dtype=bool)
+    rad = np.zeros_like(s_near)
+    nhits = np.zeros(s_near.shape, dtype=np.int64)
     for dn in (-1, 0, 1):
         n = base + dn
         valid = n >= 1
@@ -642,15 +679,17 @@ def _shell_hits(mu: SphereSeries, s: np.ndarray, eps: float):
             continue
         n_eval = np.clip(n, 1, cap) if cap is not None else np.maximum(n, 1)
         sn = seq(n_eval)
-        match = valid & (np.abs(s - sn) <= eps)
+        match = valid & (np.abs(s_near - sn) <= eps)
         nhits += match.astype(np.int64)
-        radius = np.where(match & ~hit, sn, radius)
-        hit |= match
+        rad = np.where(match & ~h, sn, rad)
+        h |= match
     if np.any(nhits > 1):
         raise ShellOverlap(
             f"smoothing eps={eps} covers two shells near radius "
-            f"{float(s[int(np.argmax(nhits > 1))]):g}"
+            f"{float(s_near[int(np.argmax(nhits > 1))]):g}"
         )
+    hit[near] = h
+    radius[near] = rad
     return hit, radius
 
 

@@ -517,6 +517,29 @@ def test_cli_far_probe_is_a_clean_error(tmp_path, capsys):
     assert "probe radius 1e+200 is too far out" in capsys.readouterr().err
 
 
+_SWEEP_MC = {"task": "sweep", "alpha": 1.5, "dim": 3, "measure": {"family": "power_weight", "p": -4.0},
+             "grid": {"p": [-4.0, -3.0]}, "simulate": True, "seed": 3, "n_paths": 4, "dt": 0.1,
+             "horizon": 1.0, "x": [0.0, 0.0, 0.0]}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cfg", [_sim_config(), _SWEEP_MC, _ROTATION, _IDENTITY],
+                         ids=["simulate", "sweep-mc", "rotation-check", "verify-identity"])
+def test_cli_far_start_is_a_clean_error(tmp_path, capsys, cfg):
+    # |x| = 1e200 squares past the float range: a collected validation error
+    # before any path is walked, never an overflow warning and a gauge of 1
+    command = _COMMAND.get(cfg["task"], cfg["task"])
+    for x in ([1e200, 0.0, 0.0], 1e200):
+        path = _write(tmp_path, "far.json", {**cfg, "x": x})
+        assert run_cli([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "'x': start radius 1e+200 is too far out" in err
+        assert "Warning" not in err
+    # a sweep without its MC column walks no path, so its 'x' is not checked
+    if cfg["task"] == "sweep":
+        validate_config({**cfg, "simulate": False, "x": 1e200})
+
+
 def test_cli_unresolvable_shells_stop_before_any_path(tmp_path, capsys, monkeypatch):
     # radii n^0.01 within reach of 1000 time units: the shell gaps fall below
     # float resolution, so no default smoothing eps exists

@@ -25,6 +25,7 @@ from bigmeasure.measures import (
     radial_weight_fn,
     smoothed_density,
     support_scale,
+    _shell_hits,
 )
 from bigmeasure.potentials import riesz_potential
 
@@ -355,3 +356,106 @@ def test_family_registry_round_trips_describe():
                SphereSeries(Seq.table([1.0, 2.0], 1.5), 1.0), BoundaryPower(0.5, 2.0)):
         family, params = describe(mu)
         assert FAMILIES[family] is type(mu)
+
+
+# ---------------------------------------------------------------------------
+# the shell prefilter against the full three-candidate scan
+
+
+def _scan_shell_hits(mu, s, eps):
+    """Every radius through the three shells around round(index(s)), no prefilter."""
+    s = np.asarray(s, dtype=float)
+    seq = mu.radii
+    base = np.clip(np.floor(np.round(seq.index(s))), 1.0, float(2**62)).astype(np.int64)
+    cap = mu.hard_cap
+    hit = np.zeros(s.shape, dtype=bool)
+    radius = np.zeros_like(s)
+    nhits = np.zeros(s.shape, dtype=np.int64)
+    for dn in (-1, 0, 1):
+        n = base + dn
+        valid = n >= 1
+        if cap is not None:
+            valid &= n <= cap
+        if not valid.any():
+            continue
+        n_eval = np.clip(n, 1, cap) if cap is not None else np.maximum(n, 1)
+        sn = seq(n_eval)
+        match = valid & (np.abs(s - sn) <= eps)
+        nhits += match.astype(np.int64)
+        radius = np.where(match & ~hit, sn, radius)
+        hit |= match
+    if np.any(nhits > 1):
+        raise ShellOverlap(
+            f"smoothing eps={eps} covers two shells near radius "
+            f"{float(s[int(np.argmax(nhits > 1))]):g}"
+        )
+    return hit, radius
+
+
+def _scan_weight(mu, s, eps):
+    hit, radius = _scan_shell_hits(mu, s, eps)
+    return np.where(hit, np.where(hit, radius, 1.0) ** -mu.r / (2.0 * eps), 0.0)
+
+
+def _shell_probes(seq, eps, rng):
+    """Radii on, beside and between the shells: each shell +- eps and its float
+    neighbours, below eps, 0, past a truncated table and past index 2^62."""
+    n_hi = seq.table_len if seq.truncated else seq.table_len + 8
+    sn = seq(np.arange(1, n_hi + 1))
+    edges = np.concatenate([sn - eps, sn + eps])
+    probes = [
+        sn, edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+        rng.uniform(0.0, eps, 4), [0.0], rng.uniform(0.0, 1.5 * sn[-1] + 2.0, 48),
+        sn[-1] + rng.uniform(0.0, 3.0, 4), [1e300],
+    ]
+    if not seq.truncated:
+        probes.append(seq(2.0**62) * np.array([0.5, 1.0, 2.0, 1e6]))
+    s = np.concatenate(probes)
+    return rng.permutation(s[s >= 0.0])
+
+
+_SHELL_RADII = st.one_of(
+    st.floats(0.3, 3.0).map(Seq.power),
+    st.builds(
+        lambda steps, tail: Seq.table(np.cumsum(steps), tail_exponent=tail),
+        st.lists(st.floats(0.01, 3.0), min_size=1, max_size=8),
+        st.one_of(st.none(), st.floats(0.3, 3.0)),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seq=_SHELL_RADII,
+    r=st.one_of(st.sampled_from([0.0, 0.75, 1.0, 2.0, -1.0]), st.floats(-1.0, 3.0)),
+    eps=st.one_of(st.floats(1e-6, 1.0), st.sampled_from([0.05, 0.025])),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shell_prefilter_matches_the_full_scan(seq, r, eps, seed):
+    mu = SphereSeries(seq, r)
+    s = _shell_probes(seq, eps, np.random.default_rng(seed))
+    weight = radial_weight_fn(mu, smoothing_eps=eps)
+    try:
+        want_hit, want_radius = _scan_shell_hits(mu, s, eps)
+    except ShellOverlap as e:
+        for call in (lambda: _shell_hits(mu, s, eps), lambda: weight(s)):
+            with pytest.raises(ShellOverlap) as got:
+                call()
+            assert str(got.value) == str(e)
+    else:
+        hit, radius = _shell_hits(mu, s, eps)
+        assert np.array_equal(hit, want_hit)
+        assert np.array_equal(radius.view(np.int64), want_radius.view(np.int64))
+        assert np.array_equal(weight(s).view(np.int64), _scan_weight(mu, s, eps).view(np.int64))
+    for x in s[:12]:
+        try:
+            (hit,), (radius,) = _scan_shell_hits(mu, np.array([x]), eps)
+        except ShellOverlap as e:
+            with pytest.raises(ShellOverlap) as got:
+                smoothed_density(mu, x, eps)
+            assert str(got.value) == str(e)
+            continue
+        # smoothed_density takes a Python float power, the weight a numpy one
+        assert smoothed_density(mu, x, eps) == (float(radius) ** -r / (2.0 * eps) if hit else 0.0)
+        w = weight(np.float64(x))
+        assert w.shape == () and float(w) == _scan_weight(mu, np.array([x]), eps)[0]

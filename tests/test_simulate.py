@@ -16,6 +16,7 @@ from bigmeasure.measures import (
 )
 from bigmeasure.potentials import riesz_potential
 from bigmeasure.simulate import (
+    _row_norm,
     AbsorbingBrownianBall,
     Brownian,
     IsotropicStable,
@@ -150,6 +151,33 @@ def test_thread_count_does_not_change_results():
     c3 = estimate_gauge(*args, threads=3)
     assert np.array_equal(c1.ghat, c3.ghat)
     assert np.array_equal(c1.stderr, c3.stderr)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_row_norm_is_the_reduce_norm_bit_for_bit(d):
+    # positions of a walk: rows of comparable entries, where the order of
+    # the additions shows in the last bit
+    rng = np.random.default_rng(40 + d)
+    for k in (1, 2, 7, 8, 9, 300, 5000):
+        x = np.cumsum(rng.standard_normal((k, d)), axis=0) * 10.0 ** rng.uniform(-3.0, 3.0)
+        want = np.empty(k)
+        np.sqrt(np.add.reduce(x * x, axis=1, out=want), out=want)
+        got = np.empty(k)
+        _row_norm(x, got)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_path_config_rejects_a_start_whose_square_overflows():
+    # 1.3e154 squares to 1.69e308, inside the float range; 1e200 and a
+    # radius of 1.41e154 do not
+    for start in ((1e200, 0.0, 0.0), (1e154, 1e154, 0.0), (math.inf, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="too far out"):
+            PathConfig(Brownian(3), 0.1, (1.0,), start, 1, 10)
+        with pytest.raises(ValueError, match="too far out"):
+            gauge_checkpoint_samples(start, PowerWeight(-4.0), Brownian(3), [1.0], 2, 1, 0.1)
+    samples, _ = gauge_checkpoint_samples([1.3e154, 0.0, 0.0], PowerWeight(-4.0), Brownian(3), [1.0], 2, 1, 0.1)
+    assert np.all(samples == 1.0)
 
 
 def test_path_config_validation():
