@@ -26,8 +26,6 @@ sphere-mass-series         SphereSeries, alpha in (1,2): Big iff
                            r <= alpha-1, or p <= 1/(r-alpha+1))
 tabulated-tail-unsettled   a tabulated sequence without a tail rule leaves
                            the deciding series unsettled: Inconclusive
-potential-divergence       numeric route: Big iff the Riesz potential is
-                           identically infinite while finite on compacts
 =========================  =================================================
 """
 
@@ -40,8 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, DecayHypothesisUnavailable, NotTransient
-from .kernels import KernelModel
+from .errors import AlphaOutOfRange, NotTransient
 from .measures import (
     AnnulusSeries,
     BoundaryPower,
@@ -60,7 +57,6 @@ __all__ = [
     "classify_boundary_weight",
     "classify_annulus",
     "classify_sphere_series",
-    "divergence_by_potential",
 ]
 
 
@@ -330,43 +326,3 @@ _RULES = {
 def classify(mu: MeasureSpec, alpha: float, dim: int, **kwargs) -> Verdict:
     """Dispatch to the family rule."""
     return _RULES[family_class(mu)](mu, alpha, dim, **kwargs)
-
-
-def divergence_by_potential(mu: MeasureSpec, model: KernelModel, x0) -> Verdict:
-    """Numeric route: Big iff the Riesz potential diverges at x0.
-
-    Valid when the divergence of U_mu at one point forces divergence
-    everywhere and divergence of the functional A_infty: certified here for
-    rotation-invariant measures in free space with alpha in (1, 2] (the
-    far-field decay of potentials of finite measures does the rest). The
-    measure must be finite on compacts.
-    """
-    if model.alpha <= 1.0:
-        raise DecayHypothesisUnavailable(
-            f"potential-divergence route needs alpha in (1, 2], got {model.alpha}"
-        )
-    model.require_transient()
-    if isinstance(mu, BoundaryPower) and mu.r >= 1.0:
-        raise ValueError(
-            "measure is not finite on compacts (boundary exponent r >= 1); "
-            "the potential criterion does not apply"
-        )
-    from .potentials import riesz_potential
-
-    result = riesz_potential(mu, x0, model)
-    family, params = describe(mu)
-    witness = {
-        "x0_norm": float(math.hypot(*([x0] if isinstance(x0, (int, float)) else list(x0)))),
-        "value": result.value,
-        "divergent": result.divergent,
-        "compact_part": result.compact_part,
-        "certificate": "rotation-invariant measure, free space, alpha in (1,2]",
-    }
-    conclusion = Conclusion.BIG if result.divergent else Conclusion.NON_BIG
-    if mu.truncated:
-        witness["note"] = (
-            "tabulated sequence without a tail rule: the verdict applies to "
-            "the truncated measure, not to any intended continuation"
-        )
-    return Verdict(conclusion, "potential-divergence", family, params, model.alpha, model.dim, witness)
-

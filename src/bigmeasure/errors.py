@@ -41,10 +41,6 @@ class HypothesisViolated(BigMeasureError, ValueError):
     """A precondition of the far-field decay check fails (e.g. divergent probe)."""
 
 
-class DecayHypothesisUnavailable(BigMeasureError, ValueError):
-    """The potential-divergence route cannot be certified for this input."""
-
-
 class NotOrthogonal(BigMeasureError, ValueError):
     """Matrix passed as a rotation is not orthogonal."""
 

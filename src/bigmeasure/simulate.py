@@ -14,7 +14,9 @@ every estimated curve is nonincreasing in T path by path.
 
 Both walkers run on one block-walk kernel: cumulative increments, norms,
 weights at the left endpoints, and an optional stop at the first grid point
-with |X| >= a given radius.
+with |X| >= a given radius.  The kernel walks a batch of paths as one
+(rows, steps, dim) array; gauge paths walk one row at a time, absorbed
+paths 32 rows at a time.
 
 Cost of a stable step.  At alpha = 1.5, d = 3, under a sphere-series
 weight (p = 1.5, r = 1, eps = 0.05) on 2e4-step paths, medians of six
@@ -27,6 +29,19 @@ the same operations in the same order on arrays it owns, the norm sums
 columns in the order add.reduce adds a short row in, and the shell weight
 tests only the radii whose index interval can hold a shell; every output
 byte is unchanged.
+
+Absorbed step cost by stage.  On the absorbed functionals of the unit_ball
+bench (BoundaryPower r = 1 and 3 on the unit ball in d = 3, dt = 4e-4,
+1e-4 and 2.5e-5, t_cap = 40, 3000 and 1000 paths: 36.3 M steps inside
+the ball per pass) a used step went from 170 to 131 ns (medians of ten
+alternating bench runs per side on a shared 2-vCPU Xeon host) when paths
+started to walk 32 to a batch.  By stage, in ns per used step with timing
+wrappers on (medians of three alternating runs, before -> after): the
+Philox draws through sample_increment, steps drawn past an exit included,
+77 -> 82, which the bytes fix; new or rekeyed generators 10.3 -> 4.2; the
+cumsum 20.5 -> 14.5; the row norm 26 -> 13; the weight 11.8 -> 9.7;
+everything else (Python, copies, stop tests, start radii, block sums)
+41 -> 29.  The floor is the three normals of a step, about 60 ns.
 
 Excursion skip.  For Brownian motion in d = 3 and a BoundaryPower measure
 of radius R (weight 0 for |x| >= R), the gauge walker stops every time the
@@ -49,9 +64,12 @@ not elementary.
 Reproducibility: path i draws from Philox keyed by (seed, i), so results are
 bit-identical for a fixed seed no matter how many worker threads fill the
 per-path table, and independent runs derive fresh seeds through SeedSequence.
+Each worker keeps its own Philox generators and rekeys one to (seed, i) for
+path i, which gives the same stream as a new generator.
 """
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -182,6 +200,9 @@ class GaugeCurve:
 # ---------------------------------------------------------------------------
 # increments
 
+# the smallest normal float: a sine power below it has lost digits
+_TINY = np.finfo(float).tiny
+
 
 def positive_stable_sample(beta: float, n: int, rng) -> np.ndarray:
     """One-sided stable draws S >= 0 with E exp(-lam S) = exp(-lam^beta).
@@ -195,53 +216,81 @@ def positive_stable_sample(beta: float, n: int, rng) -> np.ndarray:
     U is clipped away from {0, 1} to keep the sine powers inside double
     range; the clip probability is 2e-6 per draw and the clipped draws
     still land on the correct extreme scale.
+
+    Near beta = 1 (alpha = 2 after subordination) the sine powers can
+    underflow: from alpha of about 1.965 on, some draws have one below the
+    smallest normal float, and some lose S altogether.  Those draws, and any
+    draw whose S is not finite, are evaluated again in logs; every other
+    draw keeps the bits of the direct formula.  A draw whose S itself lies
+    beyond the float range stays infinite.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    # the formula above, evaluated in place: the same operations in the same
-    # order on the same constants, so every draw keeps its bits
-    pu = rng.random(n)
-    np.clip(pu, 1e-6, 1.0 - 1e-6, out=pu)
-    e = rng.standard_exponential(n)
-    pu *= math.pi
-    s = np.multiply(pu, 1.0 - beta)
-    np.sin(s, out=s)
-    b = np.multiply(pu, beta)
-    np.sin(b, out=b)
-    b **= beta / (1.0 - beta)
-    s *= b
-    np.sin(pu, out=pu)
-    pu **= 1.0 / (1.0 - beta)
-    s /= pu
-    s /= e
-    s **= (1.0 - beta) / beta
-    s[~np.isfinite(s)] = 1e300
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        # the formula above, evaluated in place: the same operations in the
+        # same order on the same constants, so every draw keeps its bits
+        pu = rng.random(n)
+        np.clip(pu, 1e-6, 1.0 - 1e-6, out=pu)
+        e = rng.standard_exponential(n)
+        pu *= math.pi
+        s = np.multiply(pu, 1.0 - beta)
+        np.sin(s, out=s)
+        b = np.multiply(pu, beta)
+        np.sin(b, out=b)
+        b **= beta / (1.0 - beta)
+        s *= b
+        q = np.sin(pu)
+        q **= 1.0 / (1.0 - beta)
+        s /= q
+        s /= e
+        s **= (1.0 - beta) / beta
+        np.minimum(b, q, out=b)
+        bad = np.flatnonzero((b < _TINY) | ~np.isfinite(s))
+        if bad.size:
+            s[bad] = _kanter_in_logs(pu[bad], e[bad], beta)
     return s
 
 
-def sample_increment(process: ProcessSpec, dt: float, rng, n: Optional[int] = None):
+def _kanter_in_logs(pu, e, beta):
+    """Kanter's S at the angles pu = pi u and exponentials e, taken in logs."""
+    log_a = (
+        np.log(np.sin(pu * (1.0 - beta)))
+        + beta / (1.0 - beta) * np.log(np.sin(pu * beta))
+        - np.log(np.sin(pu)) / (1.0 - beta)
+    )
+    return np.exp((1.0 - beta) / beta * (log_a - np.log(e)))
+
+
+def sample_increment(process: ProcessSpec, dt: float, rng, n: Optional[int] = None, out=None):
     """n independent one-step increments, shape (n, dim); a vector if n is None.
 
     Brownian (and the absorbed ball before exit): N(0, 2 dt I).  Stable:
     subordination — a positive (alpha/2)-stable increment S with Laplace
     transform exp(-dt lam^(alpha/2)), then sqrt(2 S) times a standard
     Gaussian vector, which has CF exp(-dt |xi|^alpha).
+
+    With out, a C-contiguous float array of shape (n, dim), the increments
+    are written there and out is returned; the draws are the same.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     size = 1 if n is None else int(n)
     d = process.dim
+    if out is None:
+        out = np.empty((size, d))
+    elif n is None or out.shape != (size, d):
+        raise ValueError(f"out has shape {out.shape}, expected ({size}, {d})")
     if isinstance(process, IsotropicStable) and process.alpha < 2.0:
         beta = 0.5 * process.alpha
         scale = positive_stable_sample(beta, size, rng)
         scale *= dt ** (1.0 / beta)
         scale *= 2.0
         np.sqrt(scale, out=scale)
-        out = rng.standard_normal((size, d))
+        rng.standard_normal(out=out)
         for j in range(d):  # cheaper than the broadcast product, same bits
             out[:, j] *= scale
     else:
-        out = rng.standard_normal((size, d))
+        rng.standard_normal(out=out)
         out *= math.sqrt(2.0 * dt)
     return out[0] if n is None else out
 
@@ -251,9 +300,28 @@ def _snap_steps(t: float, dt: float) -> int:
     return max(1, int(round(t / dt)))
 
 
-def _path_rng(seed: int, index: int):
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _philox():
+    """A Generator over Philox for _rekey to point at one path's stream."""
+    return np.random.Generator(np.random.Philox(key=0))
+
+
+def _rekey(rng, seed: int, index: int):
+    """Point rng at path index's stream.
+
+    The state written is the one Philox(key=(seed, index)) starts from:
+    counter 0, an empty output buffer and no buffered 32-bit half, so
+    nothing of the previous path's draws carries over.  Philox is counter
+    based, so this gives the same stream as a new generator at a fifth of
+    the cost; a Generator keeps no state of its own.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, index], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def _derive_seed(seed: int, tag: int) -> int:
@@ -280,6 +348,14 @@ def _as_start(x, dim: int) -> np.ndarray:
 _ABSORBED_BLOCK = 4096
 # A walk that may stop early draws its first sub-block at this size.
 _FIRST_SUB_BLOCK = 256
+# Absorbed paths walk in batches of this many rows; the batch's weight rows
+# then hold 2^17 doubles (1 MB).
+_ABSORBED_ROWS = (1 << 17) // _ABSORBED_BLOCK
+# A full absorbed batch draws sub-blocks of at most this many steps per row,
+# and fewer rows share the same buffers in longer sub-blocks.  Brownian
+# positions do not depend on how the draws are split, so this bounds only
+# the steps drawn past an exit and the size of the buffers.
+_ABSORBED_SUB_BLOCK = 512
 
 
 # numpy's add.reduce sums a row of fewer than 8 entries left to right (from 8
@@ -287,65 +363,127 @@ _FIRST_SUB_BLOCK = 256
 _SEQUENTIAL_ROW = 7
 
 
-def _row_norm(x, out):
-    """np.linalg.norm(x, axis=1) written into out, bit for bit.
+def _row_norm(x, out, start=None):
+    """np.linalg.norm(start[:, None] + x, axis=-1) written into out, bit for bit.
 
-    Up to _SEQUENTIAL_ROW columns the squares are summed column by column in
-    place, which is the order add.reduce adds a short row in and costs no
-    (n, d) temporary; wider rows go through add.reduce itself.
+    start holds one point per row of x, or is None for no shift.  Up to
+    _SEQUENTIAL_ROW columns, each column of the sum is formed and squared
+    in out's shape and the squares are summed column by column, the order
+    add.reduce adds a short row in; x is left as it is and no (..., d)
+    temporary is made.  Wider rows go through add.reduce itself.
     """
-    if x.shape[1] > _SEQUENTIAL_ROW:
-        np.add.reduce(x * x, axis=1, out=out)
+    if x.shape[-1] > _SEQUENTIAL_ROW:
+        pos = x if start is None else x + start[:, None]
+        np.add.reduce(pos * pos, axis=-1, out=out)
     else:
-        np.multiply(x[:, 0], x[:, 0], out=out)
         sq = np.empty_like(out)
-        for j in range(1, x.shape[1]):
-            out += np.multiply(x[:, j], x[:, j], out=sq)
+        for j in range(x.shape[-1]):
+            col = out if j == 0 else sq
+            if start is None:
+                np.multiply(x[..., j], x[..., j], out=col)
+            else:
+                np.add(x[..., j], start[:, j, None], out=col)
+                col *= col
+            if j:
+                out += col
     np.sqrt(out, out=out)
 
 
-def _walk_block(process, dt, rng, pos, m, weight, stop_radius=math.inf):
-    """Walk one logical block of at most m steps from pos.
+class _Rows:
+    """Buffers of a block walk, reused from path to path by one worker.
 
-    Returns (w, end, stopped).  w[k] is the weight at the k-th grid point
-    of the block (w[0] at pos), one per step taken; the walk stops after
-    the first step that lands at |X| >= stop_radius, and end is the last
-    position reached.
+    w[i] receives the weights of row i of a walk over at most `rows` paths
+    in logical blocks of at most m steps.  A sub-block of n rows and k steps
+    views the flat buffers as contiguous (n, k, dim) increments and (n, k)
+    radii, and n k may not exceed `steps`.
+    """
+
+    def __init__(self, rows: int, m: int, steps: int, dim: int):
+        self.steps, self.dim = steps, dim
+        self.w = np.empty((rows, m))
+        self._inc = np.empty(steps * dim)
+        self._right = np.empty(steps)
+        self._left = np.empty(steps)
+
+    def sub_block(self, n: int, k: int):
+        """Increments, radii at the right and at the left endpoints of k steps of n rows."""
+        return (
+            self._inc[: n * k * self.dim].reshape(n, k, self.dim),
+            self._right[: n * k].reshape(n, k),
+            self._left[: n * k].reshape(n, k),
+        )
+
+
+def _walk_block(process, dt, rngs, pos, m, weight, ws, stop_radius=math.inf):
+    """Walk one logical block of at most m steps from each row of pos.
+
+    Row i starts at pos[i] and draws from rngs[i].  A row stops after the
+    first step that lands at |X| >= stop_radius.  Returns (steps, stopped,
+    ends) per row: the steps taken, whether the row stopped, and the last
+    position reached.  ws.w[i, :steps[i]] then holds the weights at row i's
+    grid points, w[i, 0] at pos[i]; entries past steps[i] are scratch.
 
     With a finite stop radius the increments are drawn lazily, in
-    sub-blocks of 256, 512, ... steps.  The running partial sum enters the
-    first increment of each sub-block before the cumsum, so the positions
-    and weights equal those of one m-step draw wherever the draws do not
+    sub-blocks of 256, 512, ... steps, as far as the rows still walking fit
+    in ws.  The running partial sum enters the first increment of each
+    sub-block before the cumsum, so a row's positions and weights equal
+    those of one m-step draw from its stream wherever the draws do not
     interleave (Brownian increments).  Without a stop radius the block is
-    one draw.
+    one draw.  The weight sees only grid points a row reached, and the
+    radius at a row's start is np.linalg.norm, as a single-path walk takes it.
     """
     lazy = stop_radius < math.inf
-    size = min(_FIRST_SUB_BLOCK, m) if lazy else m
-    radii = np.empty(m + 1)  # |X| at the grid points of the block
-    radii[0] = np.linalg.norm(pos)
+    steps = np.full(len(pos), m)
+    stopped = np.zeros(len(pos), dtype=bool)
+    ends = np.empty_like(pos)
+    live = np.arange(len(pos))
+    start = pos
+    prev = np.array([np.linalg.norm(p) for p in pos])
+    size = min(_FIRST_SUB_BLOCK, ws.steps // len(pos)) if lazy else m
     carry = None
     done = 0
     while True:
-        k = min(size, m - done)
-        inc = sample_increment(process, dt, rng, k)
+        n, k = live.size, min(size, m - done)
+        x, right, left = ws.sub_block(n, k)
+        for s, i in enumerate(live):
+            sample_increment(process, dt, rngs[i], k, x[s])
         if carry is not None:
-            inc[0] += carry
-        np.cumsum(inc, axis=0, out=inc)
-        carry = inc[-1].copy()
-        inc += pos
-        right = radii[done + 1 : done + k + 1]
-        _row_norm(inc, right)
-        hit = np.flatnonzero(right >= stop_radius) if lazy else ()
-        if len(hit):
-            j = int(hit[0])
-            return weight(radii[: done + j + 1]), inc[j], True
+            x[:, 0] += carry
+        np.cumsum(x, axis=1, out=x)
+        carry = x[:, -1].copy()
+        _row_norm(x, right, start)  # the positions are start + x
+        left[:, 0] = prev
+        left[:, 1:] = right[:, :-1]
+        hit = right >= stop_radius if lazy else None
+        out = np.flatnonzero(hit.any(axis=1)) if lazy else ()
+        if len(out):
+            # one weight call over the grid points each stopping row reached:
+            # up to its last left endpoint, c steps into the sub-block
+            j = hit[out].argmax(axis=1) + 1
+            w = weight(np.concatenate([left[s, :c] for s, c in zip(out, j)]))
+            at = 0
+            for s, c in zip(out, j):
+                i = live[s]
+                ws.w[i, done : done + c] = w[at : at + c]
+                steps[i], stopped[i], ends[i] = done + c, True, start[s] + x[s, c - 1]
+                at += c
+            if len(out) == n:
+                return steps, stopped, ends
+            keep = np.ones(n, dtype=bool)
+            keep[out] = False
+            live, carry, start, left = live[keep], carry[keep], start[keep], left[keep]
+            last, prev = x[keep, -1], right[keep, -1]
+        else:
+            last, prev = x[:, -1], right[:, -1].copy()
+        ws.w[live, done : done + k] = weight(left.reshape(-1)).reshape(live.size, k)
         done += k
         if done == m:
-            return weight(radii[:m]), inc[-1], False
-        size *= 2
+            ends[live] = start + last
+            return steps, stopped, ends
+        size = min(2 * size, ws.steps // live.size)
 
 
-def _excursion_skip_walk(process, dt, rng, start, steps_at, weight, radius):
+def _excursion_skip_walk(process, dt, rng, start, steps_at, weight, radius, ws):
     """Left-endpoint weight sums at the checkpoints steps_at of one 3-d path.
 
     The weight vanishes outside the ball of the given radius.  The path is
@@ -361,14 +499,18 @@ def _excursion_skip_walk(process, dt, rng, start, steps_at, weight, radius):
     while g < n_steps:
         r = float(np.linalg.norm(pos))
         if r < 2.0 * radius:
-            w, pos, stopped = _walk_block(process, dt, rng, pos, n_steps - g, weight, 2.0 * radius)
+            steps, stopped, ends = _walk_block(
+                process, dt, [rng], pos[None], n_steps - g, weight, ws, 2.0 * radius
+            )
+            w = ws.w[0, : steps[0]]
+            pos = ends[0]
             w[0] += total
             np.cumsum(w, out=w)
             end = g + w.size
             hi = np.searchsorted(steps_at, end, side="right")
             sums[c:hi] = w[steps_at[c:hi] - 1 - g]
             total, g, c = float(w[-1]), end, hi
-            if not stopped:
+            if not stopped[0]:
                 break
             continue
         if rng.random() >= radius / r:
@@ -398,20 +540,31 @@ def _require_full_space(process: ProcessSpec, op: str) -> None:
         raise ValueError(f"{op} needs a full-space process; use absorbed_pcaf_sample")
 
 
-def _fill_by_path(run_one, n_paths: int, threads: int) -> None:
+def _fill_by_path(make_worker, n_paths: int, threads: int, rows: int = 1) -> None:
+    """Run every batch [lo, lo + rows) of the paths [0, n_paths) through a worker.
+
+    make_worker() builds a callable run(lo, hi) that owns its generators and
+    buffers; each thread builds one and takes whole batches.  A path's
+    result depends only on its index, never on its batch or thread.
+    """
+    starts = range(0, n_paths, rows)
     if threads <= 1:
-        for i in range(n_paths):
-            run_one(i)
+        run = make_worker()
+        for lo in starts:
+            run(lo, min(lo + rows, n_paths))
         return
 
-    chunk = max(1, n_paths // (4 * threads))
+    chunk = max(1, len(starts) // (4 * threads))
+    local = threading.local()
 
-    def run_range(lo):
-        for i in range(lo, min(lo + chunk, n_paths)):
-            run_one(i)
+    def run_chunk(c):
+        if not hasattr(local, "run"):
+            local.run = make_worker()
+        for lo in starts[c : c + chunk]:
+            local.run(lo, min(lo + rows, n_paths))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run_range, range(0, n_paths, chunk)))
+        list(pool.map(run_chunk, range(0, len(starts), chunk)))
 
 
 def gauge_checkpoint_samples(
@@ -446,17 +599,23 @@ def gauge_checkpoint_samples(
     skip = isinstance(process, Brownian) and process.dim == 3 and isinstance(mu, BoundaryPower)
     out = np.empty((n_paths, len(steps_at)))
 
-    def run_one(i):
-        rng = _path_rng(seed, i)
-        if skip:
-            sums = _excursion_skip_walk(process, dt, rng, start, steps_at, weight, mu.radius)
-        else:
-            sums, _, _ = _walk_block(process, dt, rng, start, n_steps, weight)
-            np.cumsum(sums, out=sums)
-            sums = sums[steps_at - 1]
-        out[i] = np.exp(-coupling * dt * sums)
+    def worker():
+        rng, ws = _philox(), _Rows(1, n_steps, n_steps, process.dim)
 
-    _fill_by_path(run_one, n_paths, threads)
+        def run(i, _):  # batches of one path
+            _rekey(rng, seed, i)
+            if skip:
+                sums = _excursion_skip_walk(process, dt, rng, start, steps_at, weight, mu.radius, ws)
+            else:
+                _walk_block(process, dt, [rng], start[None], n_steps, weight, ws)
+                sums = ws.w[0]
+                np.cumsum(sums, out=sums)
+                sums = sums[steps_at - 1]
+            out[i] = np.exp(-coupling * dt * sums)
+
+        return run
+
+    _fill_by_path(worker, n_paths, threads)
     return out, steps_at * dt
 
 
@@ -693,23 +852,31 @@ def absorbed_pcaf_sample(
         raise ValueError("start point must lie inside the ball")
     weight = radial_weight_fn(mu)
     n_cap = _snap_steps(t_cap, dt)
-    values = np.empty(n_paths)
+    values = np.zeros(n_paths)
     exited = np.zeros(n_paths, dtype=bool)
 
-    def run_one(i):
-        rng = _path_rng(seed, i)
-        pos = x0
-        acc = 0.0
-        done = 0
-        while done < n_cap:
-            m = min(_ABSORBED_BLOCK, n_cap - done)
-            w, pos, stopped = _walk_block(process, dt, rng, pos, m, weight, radius)
-            acc += dt * float(np.sum(w))
-            if stopped:
-                exited[i] = True
-                break
-            done += m
-        values[i] = acc
+    def worker():
+        rngs = [_philox() for _ in range(_ABSORBED_ROWS)]
+        ws = _Rows(_ABSORBED_ROWS, min(_ABSORBED_BLOCK, n_cap), _ABSORBED_ROWS * _ABSORBED_SUB_BLOCK, d)
 
-    _fill_by_path(run_one, n_paths, threads)
+        def run(lo, hi):
+            for i in range(lo, hi):
+                _rekey(rngs[i - lo], seed, i)
+            live = np.arange(lo, hi)
+            pos = np.tile(x0, (hi - lo, 1))
+            done = 0
+            while done < n_cap and live.size:
+                m = min(_ABSORBED_BLOCK, n_cap - done)
+                steps, stopped, pos = _walk_block(
+                    process, dt, [rngs[i - lo] for i in live], pos, m, weight, ws, radius
+                )
+                for s, i in enumerate(live):
+                    values[i] += dt * float(np.sum(ws.w[s, : steps[s]]))
+                exited[live[stopped]] = True
+                live, pos = live[~stopped], pos[~stopped]
+                done += m
+
+        return run
+
+    _fill_by_path(worker, n_paths, threads, _ABSORBED_ROWS)
     return values, exited

@@ -6,7 +6,6 @@ import pytest
 from scipy import special
 
 import bigmeasure.potentials as potentials_mod
-from bigmeasure.classifier import classify, divergence_by_potential
 from bigmeasure.errors import GaugeOutOfRange, HypothesisViolated, NotTransient
 from bigmeasure.kernels import KernelModel, shell_average_batch, sphere_surface_area
 from bigmeasure.measures import (
@@ -457,27 +456,6 @@ def test_high_dimension_tail_stays_in_float_range():
 def test_recurrent_model_is_rejected():
     with pytest.raises(NotTransient):
         riesz_potential(PowerWeight(-4.0), 0.0, KernelModel(2.0, 2))
-
-
-def test_divergence_route_agrees_with_thresholds():
-    for p in (-3.0, -2.0, -1.6, -1.5, -1.2, -0.5):
-        mu = PowerWeight(p)
-        want = classify(mu, 1.5, 3)
-        got = divergence_by_potential(mu, M32, 0.7)
-        assert got.conclusion == want.conclusion, f"p={p}"
-
-    for p in (0.5, 1.0, 1.5):
-        for q in (1.25, 2.0, 3.5):
-            mu = AnnulusSeries.parametric(p=p, q=q, r=0.0)
-            want = classify(mu, 1.5, 3)
-            got = divergence_by_potential(mu, M32, 0.0)
-            assert got.conclusion == want.conclusion, f"p={p} q={q}"
-
-    for p, r in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (3.0, 1.0), (1.0, 1.5)):
-        mu = SphereSeries.parametric(p=p, r=r)
-        want = classify(mu, 1.5, 3)
-        got = divergence_by_potential(mu, M32, 0.0)
-        assert got.conclusion == want.conclusion, f"p={p} r={r}"
 
 
 # Exact output of the series potentials (annulus windows and sphere shells):

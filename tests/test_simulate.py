@@ -16,6 +16,8 @@ from bigmeasure.measures import (
 )
 from bigmeasure.potentials import riesz_potential
 from bigmeasure.simulate import (
+    _philox,
+    _rekey,
     _row_norm,
     AbsorbingBrownianBall,
     Brownian,
@@ -52,6 +54,105 @@ def test_positive_stable_laplace_transform():
         assert abs(lt.mean() - math.exp(-1.0)) <= 3.0 * se
     with pytest.raises(ValueError):
         positive_stable_sample(1.0, 10, rng)
+
+
+class _FixedDraws:
+    """Stands in for a generator: the uniforms and exponentials given."""
+
+    def __init__(self, u, e):
+        self.u, self.e = np.array(u, dtype=float), np.array(e, dtype=float)
+
+    def random(self, n):
+        return self.u.copy()
+
+    def standard_exponential(self, n):
+        return self.e.copy()
+
+
+# (beta, u, E, S): Kanter's S = (a(u)/E)^((1-beta)/beta) in 40-digit mpmath
+# at the angles the sampler forms in floats (pi u clipped to [1e-6, 1-1e-6],
+# then times beta and 1 - beta).  Rows at beta >= 0.99 with u near 0 or 1,
+# and at beta = 0.9995 off the centre, have a sine power below the smallest
+# normal float.
+KANTER_MPMATH = [
+    (0.75, 1e-09, 1.0, 0.47247039371116034),
+    (0.75, 2e-05, 0.5, 0.5952753947818314),
+    (0.75, 0.05, 2.0, 0.3761596741686307),
+    (0.75, 0.5, 1.0, 0.6707518813152888),
+    (0.75, 0.93, 0.03, 17.423455450084973),
+    (0.75, 0.9999998, 3.0, 9493084.149851484),
+    (0.98, 1e-09, 1.0, 0.9048013053291144),
+    (0.98, 2e-05, 0.5, 0.9176914548895143),
+    (0.98, 0.05, 2.0, 0.8923126530463367),
+    (0.98, 0.5, 1.0, 0.9313518471982396),
+    (0.98, 0.93, 0.03, 1.317098974337562),
+    (0.98, 0.9999998, 3.0, 23922.05960632182),
+    (0.99, 1e-09, 1.0, 0.9450029720952623),
+    (0.99, 2e-05, 0.5, 0.9516426143885094),
+    (0.99, 0.05, 2.0, 0.9385255911064426),
+    (0.99, 0.5, 1.0, 0.9587938222839579),
+    (0.99, 0.93, 0.03, 1.1474724480306104),
+    (0.99, 0.9999998, 3.0, 10853.141011866443),
+    (0.995, 1e-09, 1.0, 0.9688579694318469),
+    (0.995, 2e-05, 0.5, 0.972238532776572),
+    (0.995, 0.05, 2.0, 0.9655488001054637),
+    (0.995, 0.5, 1.0, 0.9759085994561171),
+    (0.995, 0.93, 0.03, 1.0695521869765257),
+    (0.995, 0.9999998, 3.0, 5190.732592736474),
+    (0.9995, 1e-09, 1.0, 0.9957067649486221),
+    (0.9995, 2e-05, 0.5, 0.9960520831126982),
+    (0.9995, 0.05, 2.0, 0.9953677148430498),
+    (0.9995, 0.5, 1.0, 0.9964296323964942),
+    (0.9995, 0.93, 0.03, 1.0057795707593922),
+    (0.9995, 0.9999998, 3.0, 502.28313116532877),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("beta,u,e,want", KANTER_MPMATH)
+def test_positive_stable_draws_match_mpmath(beta, u, e, want):
+    got = positive_stable_sample(beta, 1, _FixedDraws([u], [e]))[0]
+    assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [1.99, 1.999])
+def test_stable_increment_law_near_alpha_two(alpha):
+    # criterion 09's check where the sine powers of Kanter's a(u) underflow
+    rng = np.random.default_rng(20260816)
+    draws = sample_increment(IsotropicStable(alpha, 3), 1.0, rng, n=1_000_000)
+    assert np.all(np.isfinite(draws))
+    for xi in (0.5, 1.0, 2.0):
+        c = np.cos(xi * draws[:, 0])
+        se = float(c.std(ddof=1)) / math.sqrt(len(c))
+        assert abs(float(c.mean()) - math.exp(-xi**alpha)) <= 3.0 * se, xi
+
+
+def test_rekeyed_generator_replays_a_new_one():
+    # the previous path left a half-used output buffer and a buffered 32-bit
+    # half behind; the rekeyed generator must not see either
+    seed = 2**64 - 5
+    pool = _philox()
+    for i in (0, 7, 2**40):
+        pool.standard_normal(5)
+        while pool.bit_generator.state["has_uint32"] != 1:
+            pool.integers(0, 1000, dtype=np.uint32)
+        assert pool.bit_generator.state["buffer_pos"] < 4
+        _rekey(pool, seed, i)
+        new = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+        state, fresh = pool.bit_generator.state, new.bit_generator.state
+        for part in ("counter", "key"):
+            assert np.array_equal(state["state"][part], fresh["state"][part])
+        for field in ("buffer", "buffer_pos", "has_uint32", "uinteger"):
+            assert np.array_equal(state[field], fresh[field])
+        for draw in (
+            lambda g: g.standard_normal(7),
+            lambda g: g.random(5),
+            lambda g: g.standard_exponential(6),
+            lambda g: g.integers(0, 2**31, size=3, dtype=np.uint32),
+            lambda g: g.standard_normal((4, 3)),
+        ):
+            assert np.array_equal(draw(pool), draw(new))
 
 
 def test_brownian_increment_covariance():
@@ -165,6 +266,16 @@ def test_row_norm_is_the_reduce_norm_bit_for_bit(d):
         got = np.empty(k)
         _row_norm(x, got)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # a batch of rows (3, k, d), shifted by one start point per row, into
+        # a strided (3, k) view: row by row the norm of the positions
+        rows = np.stack([x, -x[::-1], 0.5 * x])
+        start = rng.standard_normal((3, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        out = np.empty((3, k + 1))
+        _row_norm(rows, out[:, 1:], start)
+        for i, row in enumerate(rows):
+            pos = row + start[i]
+            np.sqrt(np.add.reduce(pos * pos, axis=1, out=want), out=want)
+            assert np.array_equal(out[i, 1:].view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
