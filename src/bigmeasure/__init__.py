@@ -19,7 +19,6 @@ from .kernels import (
     KernelModel,
     green_constant,
     radial_shell_average,
-    riesz_kernel,
     shell_average_batch,
     sphere_surface_area,
 )
@@ -31,9 +30,7 @@ from .measures import (
     SphereSeries,
     admissibility_check,
     default_smoothing_eps,
-    evaluate_density,
     radial_weight_fn,
-    smoothed_density,
     support_scale,
 )
 from .potentials import (
@@ -80,7 +77,6 @@ __all__ = [
     "KernelModel",
     "green_constant",
     "radial_shell_average",
-    "riesz_kernel",
     "shell_average_batch",
     "sphere_surface_area",
     "AnnulusSeries",
@@ -90,9 +86,7 @@ __all__ = [
     "SphereSeries",
     "admissibility_check",
     "default_smoothing_eps",
-    "evaluate_density",
     "radial_weight_fn",
-    "smoothed_density",
     "support_scale",
     "DecayCheck",
     "PotentialResult",

@@ -8,8 +8,8 @@ Conventions used throughout the package:
 * for dim > alpha its Green function is
   G(x, y) = C(dim, alpha) |x - y|^(alpha - dim) with
   C(dim, alpha) = Gamma((dim - alpha)/2) / (2^alpha pi^(dim/2) Gamma(alpha/2)),
-* ``riesz_kernel`` and everything built on it works with the *idealized*
-  kernel |x - y|^(alpha - dim); the constant is applied by callers that need
+* the shell averages here work with the *idealized* kernel
+  |x - y|^(alpha - dim); the constant is applied by callers that need
   physical expectations (see :func:`green_constant`).
 
 ``radial_shell_average`` is the workhorse for rotation-invariant measures:
@@ -48,7 +48,6 @@ from .errors import (
 __all__ = [
     "KernelModel",
     "green_constant",
-    "riesz_kernel",
     "radial_shell_average",
     "shell_average_batch",
     "sphere_surface_area",
@@ -90,16 +89,6 @@ def green_constant(alpha: float, dim: int) -> float:
     return special.gamma((dim - alpha) / 2.0) / (
         2.0**alpha * math.pi ** (dim / 2.0) * special.gamma(alpha / 2.0)
     )
-
-
-def riesz_kernel(x, y, model: KernelModel) -> float:
-    """Idealized kernel |x - y|^(alpha - dim)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dist = float(np.linalg.norm(x - y))
-    if dist == 0.0:
-        raise CoincidentPoints("riesz_kernel at x == y")
-    return dist ** (model.alpha - model.dim)
 
 
 def radial_shell_average(rho: float, s: float, alpha: float, dim: int) -> float:

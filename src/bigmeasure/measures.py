@@ -16,13 +16,15 @@ with an optional power-law tail rule. A table without a tail rule leaves
 the far behaviour of the measure undefined: downstream decisions that need
 the tail report Inconclusive rather than guessing. ``Seq.index`` is the one
 inverse of a sequence, from a radius back to a real index; every lookup of
-the window or shell near a radius goes through it.
+the window or shell near a radius goes through it, except that the
+sphere-series weight first drops the radii whose bin in a table of eps-wide
+bins, built once per ``weight_fn`` call, lies near no shell.
 
 Each family class is the one home of its facts: ``family`` (its config
 name), its config forms (``spec_keys``, ``from_spec``, ``grid_params``),
 ``params``, ``support_scale``, ``truncated``, ``singular`` (no pointwise
-density), ``require_admissible``, ``weight_fn`` and the scalar
-``density``. ``FAMILIES`` maps names to classes, and
+density), ``require_admissible`` and ``weight_fn``. ``FAMILIES`` maps
+names to classes, and
 ``family_class``, through which every layer dispatches, is the one place
 that rejects a non-family object.
 """
@@ -47,8 +49,6 @@ __all__ = [
     "MeasureSpec",
     "AdmissibilityResult",
     "admissibility_check",
-    "evaluate_density",
-    "smoothed_density",
     "radial_weight_fn",
     "default_smoothing_eps",
     "support_scale",
@@ -273,9 +273,6 @@ class PowerWeight(_Family):
     def support_scale(self) -> float:
         return 1.0
 
-    def density(self, s: float) -> float:
-        return (1.0 + s) ** self.p
-
     def weight_fn(self, smoothing_eps=None):
         p = self.p
         return lambda s: (1.0 + np.asarray(s, dtype=float)) ** p
@@ -350,10 +347,6 @@ class AnnulusSeries(_Family):
             )
             raise NotAdmissible(f"annulus windows overlap ({where}, mode={res.mode})")
 
-    def density(self, s: float) -> float:
-        mult = int(_annulus_membership(self, np.array([s]))[0])
-        return mult * s**-self.r if mult else 0.0
-
     def weight_fn(self, smoothing_eps=None):
         self.require_admissible()
         r = self.r
@@ -422,23 +415,22 @@ class SphereSeries(_Family):
     def support_scale(self) -> float:
         return float(self.radii(1))
 
-    def density(self, s: float) -> float:
-        raise SingularMeasure(
-            "SphereSeries has no pointwise density; use smoothed_density"
-        )
-
     def weight_fn(self, smoothing_eps=None):
         if smoothing_eps is None:
             raise SingularMeasure(
                 "SphereSeries needs smoothing_eps for a pointwise weight"
             )
         eps, r = float(smoothing_eps), self.r
+        if not eps > 0:
+            raise ValueError(f"smoothing_eps must be positive, got {eps}")
+        table = _shell_table(self.radii, eps, self.hard_cap)
 
         def w_sph(s):
-            hit, radius = _shell_hits(self, np.asarray(s, dtype=float), eps)
-            w = np.zeros(hit.shape)
-            w[hit] = radius[hit] ** -r / (2.0 * eps)
-            return w
+            s = np.asarray(s, dtype=float)
+            at, radius = _shell_hits(self, s.reshape(-1), eps, table)
+            w = np.zeros(s.size)
+            w[at] = radius ** -r / (2.0 * eps)
+            return w.reshape(s.shape)
 
         return w_sph
 
@@ -467,14 +459,6 @@ class BoundaryPower(_Family):
 
     def support_scale(self) -> float:
         return self.radius
-
-    def density(self, s: float) -> float:
-        if s > self.radius:
-            return 0.0
-        delta = self.radius - s
-        if delta == 0.0:
-            return math.inf if self.r > 0 else (1.0 if self.r == 0 else 0.0)
-        return delta**-self.r
 
     def weight_fn(self, smoothing_eps=None):
         R, r = self.radius, self.r
@@ -587,7 +571,7 @@ def admissibility_check(growth: Seq, gap: Seq, n_max: int = 100_000) -> Admissib
 
 
 # ---------------------------------------------------------------------------
-# window / shell membership, shared by densities and the simulator weight
+# window / shell membership of the weights
 
 
 _INDEX_CAP = float(2**62)
@@ -627,8 +611,15 @@ def _annulus_membership(mu: AnnulusSeries, s: np.ndarray) -> np.ndarray:
 
 
 # Relative slack of the shell prefilter: far above the rounding of s +- eps,
-# of a shell radius and of the index rule (a pow), far below a shell gap
+# of a shell radius, of the index rule (a pow) and of s / width, far below a
+# shell gap
 _INDEX_SLACK = 1e-9
+
+# The bin table of the shell prefilter holds at most this many bins (64 KB)
+# and is built from at most this many shells, which bounds its build to about
+# a millisecond and its temporaries to under 1 MB
+_TABLE_BINS = 1 << 16
+_TABLE_SHELLS = 1 << 14
 
 
 def _near_a_shell(seq: Seq, s: np.ndarray, eps: float) -> np.ndarray:
@@ -651,20 +642,58 @@ def _near_a_shell(seq: Seq, s: np.ndarray, eps: float) -> np.ndarray:
         return np.floor(seq.index(hi_v, side="right") * (1.0 + _INDEX_SLACK)) >= first
 
 
-def _shell_hits(mu: SphereSeries, s: np.ndarray, eps: float):
-    """(hit mask, shell radius) for each sample radius; raises on overlap.
+def _shell_table(seq: Seq, eps: float, cap: Optional[int]):
+    """(1 / width, marked): the bin table of the shell prefilter, read-only.
 
-    Radii that ``_near_a_shell`` rules out miss every shell; the others are
-    matched against the three shells around round(index(s)).
+    Bins are eps wide; a radius s below the table's top falls in bin
+    int(s / width). Each shell marks the bins of [s_n - eps, s_n + eps],
+    widened by _INDEX_SLACK in radius and in bins, so an unmarked bin holds
+    no radius within eps of a shell. The last entry, marked, stands for NaN
+    and every radius from the top on, which _near_a_shell then tests. The
+    table ends after _TABLE_BINS bins or below the first shell past the
+    first _TABLE_SHELLS, whichever is lower.
     """
-    s = np.asarray(s, dtype=float)
+    inv_width = 1.0 / eps
+    slack = np.array([[1.0 - _INDEX_SLACK], [1.0 + _INDEX_SLACK]])
+    with np.errstate(over="ignore"):
+        # the shells that reach the bins, and the first one past them
+        reach = float(seq.index((_TABLE_BINS + 2.0) * eps))
+        n = min(_TABLE_SHELLS, cap or math.inf, math.floor(min(reach, 2.0 * _TABLE_SHELLS)) + 1)
+        sn = seq(np.arange(1.0, min(n + 1, cap or math.inf) + 1.0))
+        ends = np.stack([sn * slack[0] - eps * slack[1], (sn + eps) * slack[1]])
+        lo, hi = np.clip(np.floor(ends * inv_width * slack), 0.0, _TABLE_BINS).astype(np.intp)
+    top = lo[n] if len(sn) > n else _TABLE_BINS
+    marked = np.zeros(_TABLE_BINS + 1, dtype=bool)
+    for j in range(int((hi[:n] - lo[:n]).max()) + 1):
+        marked[np.minimum(lo[:n] + j, hi[:n])] = True
+    marked = marked[: top + 1]
+    marked[top] = True
+    marked.flags.writeable = False
+    return inv_width, marked
+
+
+def _shell_hits(mu: SphereSeries, s: np.ndarray, eps: float, table):
+    """(positions, shell radii) of the radii in the 1-d s within eps of a shell,
+    in the order of s; raises on overlap.
+
+    A radius in an unmarked bin of the table (see _shell_table) misses every
+    shell, and one past the table's top is tested by _near_a_shell. The
+    others are matched against the three shells around round(index(s)).
+    """
     seq = mu.radii
-    hit = np.zeros(s.shape, dtype=bool)
-    radius = np.zeros_like(s)
-    near = _near_a_shell(seq, s, eps)
-    if not near.any():
-        return hit, radius
-    s_near = s[near]
+    inv_width, marked = table
+    top = len(marked) - 1
+    with np.errstate(over="ignore"):
+        bins = s * inv_width
+    np.fmin(bins, top, out=bins)  # NaN, inf and radii past the top to the last entry
+    bins = bins.astype(np.intp)
+    at = np.flatnonzero(marked[bins])
+    past = bins[at] == top
+    if past.any():
+        keep = ~past
+        keep[past] = _near_a_shell(seq, s[at[past]], eps)
+        at = at[keep]
+    s_near = s[at]
     base = _safe_index(np.round(seq.index(s_near)))
     cap = mu.hard_cap
     h = np.zeros(s_near.shape, dtype=bool)
@@ -688,9 +717,7 @@ def _shell_hits(mu: SphereSeries, s: np.ndarray, eps: float):
             f"smoothing eps={eps} covers two shells near radius "
             f"{float(s_near[int(np.argmax(nhits > 1))]):g}"
         )
-    hit[near] = h
-    radius[near] = rad
-    return hit, radius
+    return at[h], rad[h]
 
 
 def default_smoothing_eps(mu: SphereSeries, max_radius: float) -> float:
@@ -724,27 +751,12 @@ def default_smoothing_eps(mu: SphereSeries, max_radius: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# densities
+# radii and weights
 
 
 def point_radius(x) -> float:
     """|x| of a number or coordinates; unlike np.linalg.norm, it does not overflow above 1.3e154."""
     return math.hypot(*np.ravel(np.asarray(x, dtype=float)))
-
-
-def evaluate_density(mu: MeasureSpec, x) -> float:
-    """Pointwise density of mu at x in R^d (w(x) in the PCAF integrand)."""
-    return family_class(mu).density(mu, point_radius(x))
-
-
-def smoothed_density(mu: SphereSeries, x, eps: float) -> float:
-    """eps-shell approximation: s_n^(-r) / (2 eps) within distance eps of shell n."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    hit, radius = _shell_hits(mu, np.array([point_radius(x)]), eps)
-    if not hit[0]:
-        return 0.0
-    return float(radius[0]) ** -mu.r / (2.0 * eps)
 
 
 def radial_weight_fn(

@@ -28,7 +28,10 @@ sampler's scaling 31 -> 15 ns; the row norm 28 -> 5 ns; the shell weight
 the same operations in the same order on arrays it owns, the norm sums
 columns in the order add.reduce adds a short row in, and the shell weight
 tests only the radii whose index interval can hold a shell; every output
-byte is unchanged.
+byte is unchanged.  Later the shell weight took one bin-table lookup per
+radius (see measures) in place of the two index inversions: 26-29 -> 6-12
+ns per radius on the radii of such walks (p = 1.5 and 3, eps = 0.05 and
+0.025; in-process medians on the same kind of host), with the same bytes.
 
 Absorbed step cost by stage.  On the absorbed functionals of the unit_ball
 bench (BoundaryPower r = 1 and 3 on the unit ball in d = 3, dt = 4e-4,

@@ -190,14 +190,15 @@ def test_criterion_06_big_vs_nonbig_curves():
     failures = []
 
     # (a) Brownian, radial weights
-    flat = estimate_gauge(0.0, PowerWeight(0.0), Brownian(3), [100.0], 10_000, 600101, 0.05)
+    # ghat and stderr do not depend on the thread count (criterion 08)
+    flat = estimate_gauge(0.0, PowerWeight(0.0), Brownian(3), [100.0], 10_000, 600101, 0.05, threads=2)
     if not flat.ghat[0] < 0.02:
         failures.append(f"p=0: ghat(0,100) = {flat.ghat[0]:.3g} >= 0.02")
 
     mu4 = PowerWeight(-4.0)
     ea4 = green_constant(2.0, 3) * riesz_potential(mu4, 0.0, KernelModel(2.0, 3)).value
     floor4 = math.exp(-ea4)
-    tame = estimate_gauge(0.0, mu4, Brownian(3), [200.0], 10_000, 600102, 0.02)
+    tame = estimate_gauge(0.0, mu4, Brownian(3), [200.0], 10_000, 600102, 0.02, threads=2)
     if not tame.ghat[0] >= floor4 - 3.0 * tame.stderr[0]:
         failures.append(f"p=-4: ghat {tame.ghat[0]:.4f} under floor {floor4:.4f}")
 
@@ -213,7 +214,7 @@ def test_criterion_06_big_vs_nonbig_curves():
     for key, mu, eps, seed in [("big_e", big_mu, 0.05, 600301), ("big_h", big_mu, 0.025, 600302),
                                ("nb_e", nb_mu, 0.05, 600303), ("nb_h", nb_mu, 0.025, 600304)]:
         curves[key] = estimate_gauge(0.0, mu, proc, horizons, 10_000, seed, 0.01,
-                                     smoothing_eps=eps)
+                                     smoothing_eps=eps, threads=2)
 
     big, nb = curves["big_e"], curves["nb_e"]
     if not all(b < a for a, b in zip(big.ghat, big.ghat[1:])):

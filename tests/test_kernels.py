@@ -10,7 +10,6 @@ from bigmeasure.kernels import (
     KernelModel,
     green_constant,
     radial_shell_average,
-    riesz_kernel,
     shell_average_batch,
     sphere_surface_area,
 )
@@ -213,13 +212,6 @@ def test_shell_average_batch_guards():
         radial_shell_average(-1.0, 1.0, 1.5, 3)
     with pytest.raises(AlphaOutOfRange):
         radial_shell_average(1.0, 2.0, 2.5, 3)
-
-
-def test_riesz_kernel_basics():
-    model = KernelModel(1.5, 3)
-    assert riesz_kernel([0, 0, 0], [2, 0, 0], model) == pytest.approx(2.0**-1.5)
-    with pytest.raises(CoincidentPoints):
-        riesz_kernel([1.0, 0, 0], [1.0, 0, 0], model)
 
 
 def test_green_constant_values():

@@ -21,11 +21,11 @@ from bigmeasure.measures import (
     admissibility_check,
     default_smoothing_eps,
     describe,
-    evaluate_density,
+    point_radius,
     radial_weight_fn,
-    smoothed_density,
     support_scale,
     _shell_hits,
+    _shell_table,
 )
 from bigmeasure.potentials import riesz_potential
 
@@ -191,62 +191,55 @@ def test_annulus_family_validation():
         radial_weight_fn(AnnulusSeries.parametric(p=0.5, q=0.6, r=1.0))
 
 
-def test_evaluate_density():
-    assert evaluate_density(PowerWeight(-2.0), [1.0, 0.0, 0.0]) == pytest.approx(0.25)
+def test_weight_values():
+    assert radial_weight_fn(PowerWeight(-2.0))(1.0) == pytest.approx(0.25)
     mu = AnnulusSeries.parametric(p=1.0, q=1.5, r=2.0)
-    assert evaluate_density(mu, [1.2, 0.0, 0.0]) == pytest.approx(1.2**-2)
     # window 2 ends at 2(1 + 2^-1.5) ~ 2.707, window 3 starts at 3
     mid = 0.5 * (mu.window(2)[1] + mu.window(3)[0])
-    assert evaluate_density(mu, [mid, 0.0, 0.0]) == 0.0
-    assert evaluate_density(mu, [0.0, 0.0, 0.0]) == 0.0
+    assert list(radial_weight_fn(mu)(np.array([1.2, mid, 0.0]))) == pytest.approx([1.2**-2, 0.0, 0.0])
+    # the ball weight is 0 on the wall and outside: paths there are absorbed
     bnd = BoundaryPower(r=2.0, radius=1.0)
-    assert evaluate_density(bnd, [0.5, 0.0, 0.0]) == pytest.approx(4.0)
-    assert evaluate_density(bnd, [2.0, 0.0, 0.0]) == 0.0
-    assert evaluate_density(bnd, [1.0, 0.0, 0.0]) == math.inf
+    assert list(radial_weight_fn(bnd)(np.array([0.5, 2.0, 1.0]))) == pytest.approx([4.0, 0.0, 0.0])
     with pytest.raises(SingularMeasure):
-        evaluate_density(SphereSeries.parametric(1.0, 1.0), [1.0, 0.0, 0.0])
+        radial_weight_fn(SphereSeries.parametric(1.0, 1.0))
+    for eps in (0.0, -0.05, math.nan):
+        with pytest.raises(ValueError, match="smoothing_eps must be positive"):
+            radial_weight_fn(SphereSeries.parametric(1.0, 1.0), eps)
 
 
 def test_smoothed_density_shell_mass():
     mu = SphereSeries.parametric(p=1.0, r=3.0)
     eps = 0.05
     s0 = 2.0
-    # integral of the smoothed density over R^3 near shell 2 equals
+    w = radial_weight_fn(mu, smoothing_eps=eps)
+    # integral of the smoothed weight over R^3 near shell 2 equals
     # s0^(-3)/(2 eps) * (4 pi / 3)((s0+eps)^3 - (s0-eps)^3)
-    val, _ = integrate.quad(
-        lambda t: smoothed_density(mu, [t, 0.0, 0.0], eps) * 4 * math.pi * t**2,
-        s0 - eps,
-        s0 + eps,
-    )
+    val, _ = integrate.quad(lambda t: float(w(t)) * 4 * math.pi * t**2, s0 - eps, s0 + eps)
     expected = s0**-3 / (2 * eps) * (4 * math.pi / 3) * ((s0 + eps) ** 3 - (s0 - eps) ** 3)
     assert val == pytest.approx(expected, rel=1e-7)
     # and approximates the atom mass to O((eps/s0)^2)
     atom = s0**-3 * 4 * math.pi * s0**2
     assert abs(val - atom) / atom <= (eps / s0) ** 2
-    assert smoothed_density(mu, [2.5, 0.0, 0.0], eps) == 0.0
+    assert w(2.5) == 0.0
     with pytest.raises(ShellOverlap):
-        smoothed_density(SphereSeries(Seq.table([1.0, 1.15]), 1.0), [1.08, 0, 0], 0.1)
+        radial_weight_fn(SphereSeries(Seq.table([1.0, 1.15]), 1.0), 0.1)(np.array([1.08]))
 
 
 def test_radial_weight_fn_matches_pointwise():
     rng = np.random.default_rng(5)
     radii = rng.uniform(0.0, 6.0, size=64)
-    for mu in (
-        PowerWeight(-1.5),
-        AnnulusSeries.parametric(p=1.0, q=1.5, r=0.5),
-        BoundaryPower(r=1.0, radius=2.0),
+    ann = AnnulusSeries.parametric(p=1.0, q=1.5, r=0.5)
+    a, b = ann.window(np.arange(1, 8))
+    for mu, want in (
+        (PowerWeight(-1.5), lambda s: (1.0 + s) ** -1.5),
+        (ann, lambda s: s**-0.5 if np.any((a <= s) & (s <= b)) else 0.0),
+        (BoundaryPower(r=1.0, radius=2.0), lambda s: 1.0 / (2.0 - s) if s < 2.0 else 0.0),
+        (SphereSeries.parametric(p=1.0, r=2.0), lambda s: max(round(s), 1) ** -2 / 0.1 if abs(s - max(round(s), 1)) <= 0.05 else 0.0),
     ):
-        w = radial_weight_fn(mu)
+        w = radial_weight_fn(mu, smoothing_eps=0.05)
         vals = w(radii)
         for s, v in zip(radii, vals):
-            assert v == pytest.approx(evaluate_density(mu, [s, 0.0, 0.0]))
-    mu = SphereSeries.parametric(p=1.0, r=2.0)
-    w = radial_weight_fn(mu, smoothing_eps=0.05)
-    vals = w(radii)
-    for s, v in zip(radii, vals):
-        assert v == pytest.approx(smoothed_density(mu, [s, 0.0, 0.0], 0.05))
-    with pytest.raises(SingularMeasure):
-        radial_weight_fn(mu)
+            assert v == pytest.approx(want(s))
     zero = radial_weight_fn(None)
     assert np.all(zero(radii) == 0.0)
 
@@ -315,14 +308,16 @@ def test_density_rotation_invariant():
     rng = np.random.default_rng(99)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     x = np.array([1.3, -0.2, 0.4])
+    # |x| = 1.3748, within 0.05 of the shell at sqrt(2)
     for mu in (
         PowerWeight(-2.0),
         AnnulusSeries.parametric(p=1.0, q=1.5, r=0.5),
         BoundaryPower(r=1.0, radius=2.0),
+        SphereSeries.parametric(p=0.5, r=2.0),
     ):
-        assert evaluate_density(mu, q @ x) == pytest.approx(evaluate_density(mu, x))
-    mu = SphereSeries.parametric(p=1.0, r=2.0)
-    assert smoothed_density(mu, q @ x, 0.05) == pytest.approx(smoothed_density(mu, x, 0.05))
+        w = radial_weight_fn(mu, smoothing_eps=0.05)
+        assert w(point_radius(q @ x)) == pytest.approx(w(point_radius(x)))
+        assert w(point_radius(x)) > 0.0
 
 
 def test_describe_and_support_scale():
@@ -344,7 +339,6 @@ def test_describe_and_support_scale():
     pytest.param(radial_weight_fn, id="radial_weight_fn"),
     pytest.param(describe, id="describe"),
     pytest.param(support_scale, id="support_scale"),
-    pytest.param(lambda mu: evaluate_density(mu, 1.0), id="evaluate_density"),
 ])
 def test_non_family_objects_get_one_type_error(call):
     with pytest.raises(TypeError, match="^not a measure family: str$"):
@@ -398,20 +392,57 @@ def _scan_weight(mu, s, eps):
 
 
 def _shell_probes(seq, eps, rng):
-    """Radii on, beside and between the shells: each shell +- eps and its float
-    neighbours, below eps, 0, past a truncated table and past index 2^62."""
-    n_hi = seq.table_len if seq.truncated else seq.table_len + 8
-    sn = seq(np.arange(1, n_hi + 1))
+    """Radii on, beside and between the shells: each shell +- eps, the bin
+    edges around those and the float neighbours of all of them, below eps,
+    0, past a truncated table, the top of the bin table and its float
+    neighbours, the shells around the top, radii far past it, past index
+    2^62, inf and nan."""
+    cap = seq.table_len if seq.truncated else None
+    inv_width, marked = _shell_table(seq, eps, cap)
+    top = (len(marked) - 1) / inv_width
+    n_hi = cap or seq.table_len + 8
+    n_top = min(float(np.floor(seq.index(top))), 2.0**62) + np.arange(-2.0, 3.0)
+    n = np.concatenate([np.arange(1, n_hi + 1), n_top[(n_top >= 1) & (n_top <= (cap or np.inf))]])
+    sn = seq(n)
     edges = np.concatenate([sn - eps, sn + eps])
+    bin_edges = (np.floor(edges * inv_width)[:, None] + [0.0, 1.0]).ravel() / inv_width
+    near = np.concatenate([sn, edges, bin_edges, [top]])
+    s_hi = float(seq(n_hi))
     probes = [
-        sn, edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
-        rng.uniform(0.0, eps, 4), [0.0], rng.uniform(0.0, 1.5 * sn[-1] + 2.0, 48),
-        sn[-1] + rng.uniform(0.0, 3.0, 4), [1e300],
+        near, np.nextafter(near, np.inf), np.nextafter(near, -np.inf),
+        rng.uniform(0.0, eps, 4), [0.0], rng.uniform(0.0, 1.5 * s_hi + 2.0, 48),
+        s_hi + rng.uniform(0.0, 3.0, 4), top * np.array([1.5, 2.0, 1e3]), [1e300, np.inf, np.nan],
     ]
     if not seq.truncated:
         probes.append(seq(2.0**62) * np.array([0.5, 1.0, 2.0, 1e6]))
     s = np.concatenate(probes)
-    return rng.permutation(s[s >= 0.0])
+    return rng.permutation(s[~(s < 0.0)])
+
+
+def _check_against_the_full_scan(mu, s, eps):
+    """The weight and _shell_hits on s against _scan_shell_hits: the same
+    hits, shell radii and weight bits, or the same ShellOverlap message; a
+    NaN radius weighs 0."""
+    weight = radial_weight_fn(mu, smoothing_eps=eps)
+    table = _shell_table(mu.radii, eps, mu.hard_cap)
+    nan = np.isnan(s)
+    try:
+        want_hit, want_radius = _scan_shell_hits(mu, s[~nan], eps)
+    except ShellOverlap as e:
+        for call in (lambda: _shell_hits(mu, s, eps, table), lambda: weight(s)):
+            with pytest.raises(ShellOverlap) as got:
+                call()
+            assert str(got.value) == str(e)
+        return
+    at, shell = _shell_hits(mu, s, eps, table)
+    hit, radius = np.zeros(s.shape, dtype=bool), np.zeros_like(s)
+    hit[at], radius[at] = True, shell
+    assert not hit[nan].any()
+    assert np.array_equal(hit[~nan], want_hit)
+    assert np.array_equal(radius[~nan].view(np.int64), want_radius.view(np.int64))
+    w = weight(s)
+    assert np.all(w[nan] == 0.0)
+    assert np.array_equal(w[~nan].view(np.int64), _scan_weight(mu, s[~nan], eps).view(np.int64))
 
 
 _SHELL_RADII = st.one_of(
@@ -434,28 +465,59 @@ _SHELL_RADII = st.one_of(
 def test_shell_prefilter_matches_the_full_scan(seq, r, eps, seed):
     mu = SphereSeries(seq, r)
     s = _shell_probes(seq, eps, np.random.default_rng(seed))
+    _check_against_the_full_scan(mu, s, eps)
     weight = radial_weight_fn(mu, smoothing_eps=eps)
-    try:
-        want_hit, want_radius = _scan_shell_hits(mu, s, eps)
-    except ShellOverlap as e:
-        for call in (lambda: _shell_hits(mu, s, eps), lambda: weight(s)):
-            with pytest.raises(ShellOverlap) as got:
-                call()
-            assert str(got.value) == str(e)
-    else:
-        hit, radius = _shell_hits(mu, s, eps)
-        assert np.array_equal(hit, want_hit)
-        assert np.array_equal(radius.view(np.int64), want_radius.view(np.int64))
-        assert np.array_equal(weight(s).view(np.int64), _scan_weight(mu, s, eps).view(np.int64))
     for x in s[:12]:
+        if np.isnan(x):
+            assert float(weight(x)) == 0.0
+            continue
         try:
-            (hit,), (radius,) = _scan_shell_hits(mu, np.array([x]), eps)
+            want = _scan_weight(mu, np.array([x]), eps)[0]
         except ShellOverlap as e:
             with pytest.raises(ShellOverlap) as got:
-                smoothed_density(mu, x, eps)
+                weight(np.float64(x))
             assert str(got.value) == str(e)
             continue
-        # smoothed_density takes a Python float power, the weight a numpy one
-        assert smoothed_density(mu, x, eps) == (float(radius) ** -r / (2.0 * eps) if hit else 0.0)
         w = weight(np.float64(x))
-        assert w.shape == () and float(w) == _scan_weight(mu, np.array([x]), eps)[0]
+        assert w.shape == () and float(w) == want
+
+
+@pytest.mark.parametrize("seq, eps, binds", [
+    # integer radii: 1/0.3 bins per shell, so the shell cap ends the table
+    # below its bin cap, near shell 16385
+    (Seq.power(1.0), 0.3, "shells"),
+    (Seq.table([0.5, 1.0, 2.0], tail_exponent=1.0), 0.3, "shells"),
+    # the bin cap ends the table below radius 66, and below the first shell
+    (Seq.power(1.0), 1e-3, "bins"),
+    (Seq.power(1.5), 1e-6, "bins"),
+    # shells denser than the bins: a square root spacing at eps = 1e-4
+    (Seq.power(0.5), 1e-4, "bins"),
+    (Seq.power(0.9), 0.1, "shells"),
+])
+def test_shell_table_caps(seq, eps, binds):
+    mu = SphereSeries(seq, 1.0)
+    inv_width, marked = _shell_table(seq, eps, None)
+    top = len(marked) - 1
+    assert not marked.flags.writeable and marked[top]
+    assert top <= (1 << 16) and (top == 1 << 16) == (binds == "bins")
+    assert float(seq.index((top + 3) / inv_width)) > 1 << 14 or binds == "bins"
+    s = _shell_probes(seq, eps, np.random.default_rng(7))
+    _check_against_the_full_scan(mu, s, eps)
+
+
+@pytest.mark.parametrize("seq, eps", [
+    # dyadic shells and eps: each reach s_n +- eps ends exactly on a bin edge
+    (Seq.table([1.0, 2.0, 3.5, 4.0], tail_exponent=1.0), 0.25),
+    (Seq.power(1.5), 0.05),
+    (Seq.power(3.0), 0.025),
+])
+def test_shell_table_marks_each_reach_with_slack(seq, eps):
+    # a shell radius or a radius off by far more than its rounding still
+    # lands in a marked bin: every bin that the reach [s_n - eps, s_n + eps],
+    # widened by 1e-12 relative, touches is marked
+    inv_width, marked = _shell_table(seq, eps, None)
+    top = len(marked) - 1
+    sn = seq(np.arange(1.0, 2000.0))
+    reach = np.concatenate([sn * (1 - 1e-12) - eps * (1 + 1e-12), sn, (sn + eps) * (1 + 1e-12)])
+    bins = np.floor(np.maximum(reach, 0.0) * inv_width)
+    assert np.all(marked[bins[bins < top].astype(np.intp)])

@@ -247,11 +247,18 @@ def test_checkpoints_nonincreasing_per_path():
 
 
 def test_thread_count_does_not_change_results():
-    args = (0.5, PowerWeight(-4.0), Brownian(3), [5.0, 10.0], 400, 99, 0.01)
-    c1 = estimate_gauge(*args, threads=1)
-    c3 = estimate_gauge(*args, threads=3)
-    assert np.array_equal(c1.ghat, c3.ghat)
-    assert np.array_equal(c1.stderr, c3.stderr)
+    for args, kwargs in [
+        ((0.5, PowerWeight(-4.0), Brownian(3), [5.0, 10.0], 400, 99, 0.01), {}),
+        # the shell weight's bin table is shared by the worker threads
+        ((0.0, SphereSeries.parametric(1.5, 1.0), IsotropicStable(1.5, 3), [5.0, 20.0], 200, 99, 0.01),
+         {"smoothing_eps": 0.05}),
+    ]:
+        c1 = estimate_gauge(*args, **kwargs, threads=1)
+        assert c1.ghat[-1] < 1.0
+        for threads in (2, 3):
+            c = estimate_gauge(*args, **kwargs, threads=threads)
+            assert c.ghat.tobytes() == c1.ghat.tobytes()
+            assert c.stderr.tobytes() == c1.stderr.tobytes()
 
 
 @pytest.mark.parametrize("d", range(1, 10))
