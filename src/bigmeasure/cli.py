@@ -1,59 +1,46 @@
 """Command line entry point.
 
-Each subcommand takes a JSON config file and runs one task.  Exit code 0
-means the run finished and any built-in check passed, 1 means a check
-failed, 2 means the config or the run itself was invalid.
+Each command takes a JSON config file and runs it if the config's task is
+one of the command's tasks in ``experiments.TASK_TABLE``; options may come
+before or after the command.  Exit code 0 means the run finished and any
+built-in check passed, 1 means a check failed, 2 means the config or the
+run itself was invalid.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 from .errors import BigMeasureError
-from .experiments import _ALLOWED, read_config, run_task, validate_config
+from .experiments import TASK_TABLE, read_config, run_task, validate_config
 
-_COMMAND_TASKS = {
-    "classify": ("classify",),
-    "potential": ("potential",),
-    "simulate": ("simulate",),
-    "sweep": ("sweep",),
-    "verify": ("verify-identity", "rotation-check", "decay-check"),
-    "decay-check": ("decay-check",),
+# command -> the config tasks it runs, both in table order
+_RUNS = {
+    command: [task for task, spec in TASK_TABLE.items() if command in spec.commands]
+    for spec in TASK_TABLE.values()
+    for command in spec.commands
 }
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bigmeasure",
-        description="Classify potential measures and cross-check the verdicts by simulation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "classify": "decide Big / NonBig for one measure",
-        "potential": "evaluate the kernel integral of a measure",
-        "simulate": "Monte Carlo gauge curve for one measure",
-        "sweep": "classify over a parameter grid, optionally with an MC column",
-        "verify": "run a verify-identity, rotation-check, or decay-check config",
-        "decay-check": "screen the potential for decay at infinity",
-    }
-    for name, help_text in helps.items():
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", required=True, help="path to a JSON config")
-        sp.add_argument("--out", help="output path (overrides 'out' in the config)")
-        sp.add_argument("--seed", type=int, help="seed override for Monte Carlo tasks")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker threads; never changes the numbers, only the wall time",
-        )
-    return parser
+_PARSER = argparse.ArgumentParser(
+    prog="bigmeasure",
+    description="Classify potential measures and cross-check the verdicts by simulation.",
+    epilog="commands and the config tasks they run:\n"
+    + "\n".join(f"  {command:<12} {', '.join(tasks)}" for command, tasks in _RUNS.items()),
+    formatter_class=argparse.RawDescriptionHelpFormatter,
+)
+_PARSER.add_argument("command", choices=list(_RUNS), help="what to run; see the list below")
+_PARSER.add_argument("--config", required=True, help="path to a JSON config")
+_PARSER.add_argument("--out", help="output path (overrides 'out' in the config)")
+_PARSER.add_argument("--seed", type=int, help="seed override for Monte Carlo tasks")
+_PARSER.add_argument("--threads", type=int, default=1,
+                     help="worker threads, at most the CPU count; never changes the numbers, only the wall time")
 
 
 def run_cli(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return _run(args)
+        return _run(args, min(max(1, args.threads), os.cpu_count() or 1))
     except (BigMeasureError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
     except Exception as e:
@@ -62,21 +49,22 @@ def run_cli(argv=None) -> int:
     return 2
 
 
-def _run(args) -> int:
+def _run(args, threads: int) -> int:
     raw = read_config(args.config)
     task = raw.get("task") if isinstance(raw, dict) else None
-    if args.seed is not None and task in _ALLOWED and "seed" in _ALLOWED[task]:
+    spec = TASK_TABLE.get(task) if isinstance(task, str) else None
+    if args.seed is not None and spec is not None and "seed" in spec.allowed:
         raw["seed"] = args.seed
     if args.out is not None:
         raw["out"] = args.out
     cfg = validate_config(raw)
-    if cfg.task not in _COMMAND_TASKS[args.command]:
+    if cfg.task not in _RUNS[args.command]:
         print(
             f"error: config task '{cfg.task}' does not belong to command '{args.command}'",
             file=sys.stderr,
         )
         return 2
-    result = run_task(cfg, threads=max(1, args.threads))
+    result = run_task(cfg, threads=threads)
 
     if cfg.out:
         out = Path(cfg.out)

@@ -14,9 +14,8 @@ import io
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,6 +39,8 @@ from .simulate import (
 __all__ = [
     "ExperimentConfig",
     "RunResult",
+    "Task",
+    "TASK_TABLE",
     "read_config",
     "load_config",
     "validate_config",
@@ -50,42 +51,47 @@ __all__ = [
     "run_potential",
     "run_simulate",
     "run_sweep",
-    "run_verify",
 ]
 
 TOOL = f"bigmeasure {__version__}"
 
-TASKS = (
-    "classify",
-    "potential",
-    "simulate",
-    "sweep",
-    "verify-identity",
-    "rotation-check",
-    "decay-check",
-)
-
 _COMMON_KEYS = {"task", "alpha", "dim", "measure", "out"}
-# tasks whose 'x' starts Monte Carlo paths (and sweep, with its MC column)
-_WALK_TASKS = ("simulate", "verify-identity", "rotation-check")
-_ALLOWED = {
-    "classify": set(),
-    "potential": {"x", "radii", "tol"},
-    "decay-check": {"radii", "decay_fraction", "tol"},
-    "simulate": {"seed", "n_paths", "dt", "horizons", "x", "coupling", "smoothing_eps"},
-    "sweep": {"grid", "simulate", "seed", "n_paths", "dt", "horizon", "x", "coupling", "smoothing_eps"},
-    "verify-identity": {"seed", "n_paths", "dt", "horizon", "x", "coupling", "table_radii", "table_paths", "tol"},
-    "rotation-check": {"seed", "n_paths", "dt", "horizon", "x", "q_matrix", "smoothing_eps"},
+_MC = "seed n_paths dt x"  # keys every Monte Carlo task takes
+
+
+@dataclass(frozen=True)
+class Task:
+    """One config task: the CLI commands that run it, run(cfg, threads), which
+    finds its runner in this module at call time (so a name rebound after
+    import is the one called), and the config keys it allows and requires
+    beyond the common ones."""
+
+    commands: tuple
+    run: Callable
+    allowed: frozenset
+    required: frozenset
+
+
+def _task(commands: str, run, allowed: str = "", required: str = "") -> Task:
+    return Task(tuple(commands.split()), run, frozenset(allowed.split()), frozenset(required.split()))
+
+
+TASK_TABLE = {
+    "classify": _task("classify", lambda cfg, threads: run_classify(cfg)),
+    # potential takes exactly one of x and radii, checked in validate_config
+    "potential": _task("potential", lambda cfg, threads: run_potential(cfg), "x radii tol"),
+    "simulate": _task("simulate", lambda cfg, threads: run_simulate(cfg, threads),
+                      f"{_MC} horizons coupling smoothing_eps", f"{_MC} horizons"),
+    # a sweep with its MC column also requires the Monte Carlo keys and 'horizon'
+    "sweep": _task("sweep", lambda cfg, threads: run_sweep(cfg, threads),
+                   f"{_MC} grid simulate horizon coupling smoothing_eps", "grid"),
+    "verify-identity": _task("verify", lambda cfg, threads: _run_identity(cfg, threads),
+                             f"{_MC} horizon coupling table_radii table_paths tol", f"{_MC} horizon"),
+    "rotation-check": _task("verify", lambda cfg, threads: _run_rotation_check(cfg, threads),
+                            f"{_MC} horizon q_matrix smoothing_eps", f"{_MC} horizon q_matrix"),
+    "decay-check": _task("verify decay-check", lambda cfg, threads: _run_decay_check(cfg), "radii decay_fraction tol"),
 }
-_REQUIRED = {
-    "classify": set(),
-    "potential": set(),  # x XOR radii, checked separately
-    "decay-check": set(),
-    "simulate": {"seed", "n_paths", "dt", "horizons", "x"},
-    "sweep": {"grid"},
-    "verify-identity": {"seed", "n_paths", "dt", "horizon", "x"},
-    "rotation-check": {"seed", "n_paths", "dt", "horizon", "x", "q_matrix"},
-}
+TASKS = tuple(TASK_TABLE)
 
 GAUGE_COLUMNS = ("measure_id", "family_params", "x", "T", "ghat", "stderr", "n_paths", "seed", "dt")
 CLASSIFY_COLUMNS = ("measure_id", "family", "params", "alpha", "dim", "conclusion", "rule", "witness")
@@ -245,10 +251,10 @@ def validate_config(raw) -> ExperimentConfig:
     if task not in TASKS:
         raise ValidationError([f"'task' must be one of {', '.join(TASKS)}; got {task!r}"])
 
-    allowed = _COMMON_KEYS | _ALLOWED[task]
-    for k in sorted(set(raw) - allowed):
+    spec = TASK_TABLE[task]
+    for k in sorted(set(raw) - _COMMON_KEYS - spec.allowed):
         errors.append(f"unknown key '{k}' for task {task}")
-    required = {"alpha", "dim", "measure"} | _REQUIRED[task]
+    required = {"alpha", "dim", "measure"} | spec.required
     if task == "sweep" and raw.get("simulate"):
         required |= {"seed", "n_paths", "dt", "horizon", "x"}
     for k in sorted(required - set(raw)):
@@ -297,7 +303,7 @@ def validate_config(raw) -> ExperimentConfig:
 
     dim_for_point = dim if dim is not None else 3
     x = _point(raw, "x", dim_for_point, errors)
-    if x is not None and (task in _WALK_TASKS or (task == "sweep" and raw.get("simulate"))):
+    if x is not None and "seed" in required:  # every task that needs a seed walks paths from x
         problem = _start_problem(x)
         if problem:
             errors.append(f"'x': {problem}")
@@ -462,6 +468,14 @@ def _auto_eps(cfg: ExperimentConfig, mu) -> Optional[float]:
     return default_smoothing_eps(mu, reach)
 
 
+def _gauge_curve(cfg: ExperimentConfig, mu, alpha: float, seed: int, threads: int):
+    """The gauge curve of mu from cfg.x under the free process of this alpha."""
+    return estimate_gauge(
+        cfg.x, mu, _free_process(alpha, cfg.dim), cfg.horizons, cfg.n_paths, seed, cfg.dt,
+        smoothing_eps=_auto_eps(cfg, mu), coupling=cfg.coupling, threads=threads,
+    )
+
+
 # ---------------------------------------------------------------------------
 # runners
 
@@ -478,13 +492,13 @@ def run_potential(cfg: ExperimentConfig) -> RunResult:
     mu = cfg.measure
     model = KernelModel(cfg.alpha, cfg.dim)
     mid = measure_id(mu)
-    probes = cfg.radii if cfg.radii is not None else [cfg.x if len(cfg.x) > 1 else cfg.x[0]]
+    probes = cfg.radii if cfg.radii is not None else [cfg.x]
     rows = []
     for x in probes:
         res = riesz_potential(mu, x, model, tol=cfg.tol)
         rows.append([
             mid,
-            _fmt_point(x if isinstance(x, tuple) else (float(x),)),
+            _fmt_point(x if isinstance(x, tuple) else (x,)),
             res.value,
             res.abs_error,
             res.divergent,
@@ -496,18 +510,7 @@ def run_potential(cfg: ExperimentConfig) -> RunResult:
 
 def run_simulate(cfg: ExperimentConfig, threads: int = 1) -> RunResult:
     mu = cfg.measure
-    curve = estimate_gauge(
-        np.array(cfg.x) if len(cfg.x) > 1 else cfg.x[0],
-        mu,
-        _free_process(cfg.alpha, cfg.dim),
-        cfg.horizons,
-        cfg.n_paths,
-        cfg.seed,
-        cfg.dt,
-        smoothing_eps=_auto_eps(cfg, mu),
-        coupling=cfg.coupling,
-        threads=threads,
-    )
+    curve = _gauge_curve(cfg, mu, cfg.alpha, cfg.seed, threads)
     family, params = describe(mu)
     fp = json.dumps(params, sort_keys=True)
     mid = measure_id(mu)
@@ -540,32 +543,15 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> RunResult:
         measures.append((mu, alpha))
         verdicts.append(classify(mu, alpha, cfg.dim))
 
-    mc = [None] * len(points)
-    if cfg.simulate_mc:
-        def one(idx):
-            mu, alpha = measures[idx]
-            curve = estimate_gauge(
-                np.array(cfg.x) if len(cfg.x) > 1 else cfg.x[0],
-                mu, _free_process(alpha, cfg.dim), cfg.horizons, cfg.n_paths,
-                _derive_seed(cfg.seed, idx), cfg.dt,
-                smoothing_eps=_auto_eps(cfg, mu), coupling=cfg.coupling,
-            )
-            return float(curve.ghat[-1]), float(curve.stderr[-1])
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                mc = list(pool.map(one, range(len(points))))
-        else:
-            mc = [one(i) for i in range(len(points))]
-
     columns = list(names) + ["alpha", "dim", "conclusion", "rule", "measure_id"]
     if cfg.simulate_mc:
         columns += ["ghat", "ghat_stderr", "T", "n_paths"]
     rows = []
-    for pt, (mu, alpha), v, m in zip(points, measures, verdicts, mc):
+    for idx, (pt, (mu, alpha), v) in enumerate(zip(points, measures, verdicts)):
         row = list(pt) + [alpha, cfg.dim, v.conclusion.value, v.rule, measure_id(mu)]
         if cfg.simulate_mc:
-            row += [m[0], m[1], cfg.horizons[-1], cfg.n_paths]
+            curve = _gauge_curve(cfg, mu, alpha, _derive_seed(cfg.seed, idx), threads)
+            row += [float(curve.ghat[-1]), float(curve.stderr[-1]), cfg.horizons[-1], cfg.n_paths]
         rows.append(row)
 
     report = _header(cfg, (f"# task=sweep over {', '.join(names)}",))
@@ -584,14 +570,6 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> RunResult:
     return RunResult(_csv_text(_header(cfg), columns, rows), True, "\n".join(report) + "\n")
 
 
-def run_verify(cfg: ExperimentConfig, threads: int = 1) -> RunResult:
-    if cfg.task == "decay-check":
-        return _run_decay_check(cfg)
-    if cfg.task == "rotation-check":
-        return _run_rotation_check(cfg, threads)
-    return _run_identity(cfg, threads)
-
-
 def _report(cfg: ExperimentConfig, task: str, items, passed: bool) -> str:
     lines = _header(cfg, (f"# task={task}",))
     lines += [f"{k}={_fmt(v)}" for k, v in items]
@@ -601,7 +579,7 @@ def _report(cfg: ExperimentConfig, task: str, items, passed: bool) -> str:
 
 def _run_identity(cfg: ExperimentConfig, threads: int) -> RunResult:
     res = verify_integral_identity(
-        np.array(cfg.x) if len(cfg.x) > 1 else cfg.x[0],
+        cfg.x,
         cfg.measure,
         Brownian(cfg.dim),
         KernelModel(cfg.alpha, cfg.dim),
@@ -636,7 +614,7 @@ def _run_rotation_check(cfg: ExperimentConfig, threads: int) -> RunResult:
     res = rotation_invariance_check(
         mu,
         _free_process(cfg.alpha, cfg.dim),
-        np.array(cfg.x) if len(cfg.x) > 1 else cfg.x[0],
+        cfg.x,
         np.array(cfg.q_matrix),
         cfg.horizons[0],
         cfg.n_paths,
@@ -677,13 +655,5 @@ def _run_decay_check(cfg: ExperimentConfig) -> RunResult:
 
 
 def run_task(cfg: ExperimentConfig, threads: int = 1) -> RunResult:
-    """Dispatch a validated config to its runner."""
-    if cfg.task == "classify":
-        return run_classify(cfg)
-    if cfg.task == "potential":
-        return run_potential(cfg)
-    if cfg.task == "simulate":
-        return run_simulate(cfg, threads)
-    if cfg.task == "sweep":
-        return run_sweep(cfg, threads)
-    return run_verify(cfg, threads)
+    """Run a validated config through its task's runner."""
+    return TASK_TABLE[cfg.task].run(cfg, threads)

@@ -15,8 +15,8 @@ every estimated curve is nonincreasing in T path by path.
 Both walkers run on one block-walk kernel: cumulative increments, norms,
 weights at the left endpoints, and an optional stop at the first grid point
 with |X| >= a given radius.  The kernel walks a batch of paths as one
-(rows, steps, dim) array; gauge paths walk one row at a time, absorbed
-paths 32 rows at a time.
+(rows, steps, dim) array; gauge paths walk it one row at a time through
+one walker, _gauge_walk, and absorbed paths 32 rows at a time.
 
 Cost of a stable step.  At alpha = 1.5, d = 3, under a sphere-series
 weight (p = 1.5, r = 1, eps = 0.05) on 2e4-step paths, medians of six
@@ -61,8 +61,8 @@ Markov property and rotation invariance the sampled A_T has exactly the law
 of the plain left-endpoint sum at every checkpoint, so
 ``expected_pcaf_oracle`` stays its exact target; only the draws differ,
 and a path costs a few hundred steps instead of T/dt.  Stable processes and
-Brownian motion in d != 3 keep the plain walk: their hitting-time laws are
-not elementary.
+Brownian motion in d != 3 keep the plain walk, an infinite skip radius:
+their hitting-time laws are not elementary.
 
 Reproducibility: path i draws from Philox keyed by (seed, i), so results are
 bit-identical for a fixed seed no matter how many worker threads fill the
@@ -486,15 +486,17 @@ def _walk_block(process, dt, rngs, pos, m, weight, ws, stop_radius=math.inf):
         size = min(2 * size, ws.steps // live.size)
 
 
-def _excursion_skip_walk(process, dt, rng, start, steps_at, weight, radius, ws):
-    """Left-endpoint weight sums at the checkpoints steps_at of one 3-d path.
+def _gauge_walk(process, dt, rng, start, steps_at, weight, radius, ws):
+    """Left-endpoint weight sums at the checkpoints steps_at of one path.
 
-    The weight vanishes outside the ball of the given radius.  The path is
+    A finite radius is the excursion skip of a 3-d Brownian path under a
+    weight that is 0 outside the ball of that radius.  The path is
     walked until |X| >= 2 radius; from there it either never comes back to
     the ball (probability 1 - radius/|X|), or it hits the sphere at the time
     (|X| - radius)^2 / (2 Z^2), Z standard normal, and restarts at the
     first grid time after it, radius e + sqrt(2 gap) N away from the
-    centre.  The grid points skipped in between add exactly 0.
+    centre.  The grid points skipped in between add exactly 0.  With
+    radius = inf the path is one block over the whole horizon.
     """
     n_steps = int(steps_at[-1])
     sums = np.empty(len(steps_at))
@@ -589,7 +591,7 @@ def gauge_checkpoint_samples(
     output is independent of the thread count.  Brownian paths in d = 3
     under a ball-supported BoundaryPower measure jump over their excursions
     beyond twice the ball radius (see the module docstring); every other
-    path is one plain walk over the whole horizon.
+    path takes an infinite skip radius: one plain walk over the horizon.
     """
     _require_full_space(process, "gauge_checkpoint_samples")
     cfg = PathConfig(process, dt, tuple(horizons), tuple(_as_start(x, process.dim)), seed, n_paths)
@@ -600,6 +602,7 @@ def gauge_checkpoint_samples(
     start = np.asarray(cfg.start)
     weight = radial_weight_fn(mu, smoothing_eps)
     skip = isinstance(process, Brownian) and process.dim == 3 and isinstance(mu, BoundaryPower)
+    radius = mu.radius if skip else math.inf
     out = np.empty((n_paths, len(steps_at)))
 
     def worker():
@@ -607,13 +610,7 @@ def gauge_checkpoint_samples(
 
         def run(i, _):  # batches of one path
             _rekey(rng, seed, i)
-            if skip:
-                sums = _excursion_skip_walk(process, dt, rng, start, steps_at, weight, mu.radius, ws)
-            else:
-                _walk_block(process, dt, [rng], start[None], n_steps, weight, ws)
-                sums = ws.w[0]
-                np.cumsum(sums, out=sums)
-                sums = sums[steps_at - 1]
+            sums = _gauge_walk(process, dt, rng, start, steps_at, weight, radius, ws)
             out[i] = np.exp(-coupling * dt * sums)
 
         return run

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from bigmeasure.cli import run_cli
 from bigmeasure.errors import ConfigError, ParseError, ValidationError
 from bigmeasure.experiments import (
-    _ALLOWED,
     _COMMON_KEYS,
+    TASK_TABLE,
     TASKS,
     GAUGE_COLUMNS,
     config_digest,
@@ -244,7 +244,7 @@ def test_grid_with_unhashable_family_is_collected():
 _FAMILIES = ["power_weight", "annulus_series", "sphere_series", "boundary_power"]
 _MEASURE_KEYS = ["family", "p", "q", "r", "radius", "growth", "gap", "radii",
                  "tail_exponent", "exponent", "table"]
-_CONFIG_KEYS = sorted(_COMMON_KEYS.union(*_ALLOWED.values()))
+_CONFIG_KEYS = sorted(_COMMON_KEYS.union(*(t.allowed for t in TASK_TABLE.values())))
 _json_leaf = (
     st.none() | st.booleans() | st.integers(-(10**20), 10**400)
     | st.floats(allow_nan=True, allow_infinity=True)
@@ -331,9 +331,6 @@ def _runnable_config(draw):
     return cfg
 
 
-_COMMAND = {"verify-identity": "verify", "rotation-check": "verify"}
-
-
 @settings(max_examples=60, deadline=None)
 @given(cfg=_runnable_config())
 def test_run_cli_on_valid_configs_never_crashes(cfg, tmp_path_factory):
@@ -345,7 +342,7 @@ def test_run_cli_on_valid_configs_never_crashes(cfg, tmp_path_factory):
     path.write_text(json.dumps(cfg))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_cli([_COMMAND.get(cfg["task"], cfg["task"]), "--config", str(path)])
+        code = run_cli([TASK_TABLE[cfg["task"]].commands[0], "--config", str(path)])
     assert code in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
 
@@ -507,6 +504,104 @@ def test_cli_exit_two_on_command_mismatch(tmp_path, capsys):
     assert "does not belong" in capsys.readouterr().err
 
 
+# one small config per task in the table
+_TASK_CONFIGS = {
+    "classify": {"task": "classify", "alpha": 2.0, "dim": 3,
+                 "measure": {"family": "power_weight", "p": -4.0}},
+    "potential": {"task": "potential", "alpha": 2.0, "dim": 3,
+                  "measure": {"family": "power_weight", "p": -4.0}, "radii": [1.0]},
+    "simulate": _sim_config(n_paths=4, dt=0.1, horizons=[1.0]),
+    "sweep": {"task": "sweep", "alpha": 2.0, "dim": 3, "measure": {"family": "power_weight", "p": 0.0},
+              "grid": {"p": [-3.0, -1.0]}},
+    "verify-identity": {**_IDENTITY, "n_paths": 4, "table_paths": 2},
+    "rotation-check": {**_ROTATION, "n_paths": 4},
+    "decay-check": {"task": "decay-check", "alpha": 2.0, "dim": 3,
+                    "measure": {"family": "power_weight", "p": -4.0}},
+}
+_COMMANDS = list(dict.fromkeys(c for t in TASK_TABLE.values() for c in t.commands))
+
+
+def test_task_table_maps_commands_to_tasks():
+    assert list(_TASK_CONFIGS) == list(TASK_TABLE) == list(TASKS)
+    assert _COMMANDS == ["classify", "potential", "simulate", "sweep", "verify", "decay-check"]
+    assert {task: spec.commands for task, spec in TASK_TABLE.items()} == {
+        "classify": ("classify",), "potential": ("potential",), "simulate": ("simulate",),
+        "sweep": ("sweep",), "verify-identity": ("verify",), "rotation-check": ("verify",),
+        "decay-check": ("verify", "decay-check"),
+    }
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_cli_command_runs_exactly_its_own_tasks(tmp_path, capsys, command):
+    for task, cfg in _TASK_CONFIGS.items():
+        path = _write(tmp_path, f"{task}.json", cfg)
+        code = run_cli([command, "--config", path])
+        captured = capsys.readouterr()
+        if command in TASK_TABLE[task].commands:
+            res = run_task(validate_config(cfg))
+            assert code == (0 if res.ok else 1), (task, captured.err)
+            assert captured.out == res.text + (res.report or "")
+        else:
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: config task '{task}' does not belong to command '{command}'\n")
+
+
+def test_cli_parser_errors_exit_two(tmp_path, capsys):
+    path = _write(tmp_path, "c.json", _TASK_CONFIGS["classify"])
+    for argv in (["nope", "--config", path], ["classify"], []):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in err
+    assert "the following arguments are required: --config" in err
+
+
+def test_cli_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in _COMMANDS:
+        assert command in out
+    assert "verify       verify-identity, rotation-check, decay-check" in out
+
+
+def test_cli_options_may_come_before_the_command(tmp_path, capsys):
+    path = _write(tmp_path, "c.json", _TASK_CONFIGS["classify"])
+    assert run_cli(["--config", path, "classify"]) == 0
+    before = capsys.readouterr().out
+    assert run_cli(["classify", "--config", path]) == 0
+    assert capsys.readouterr().out == before
+
+
+def test_cli_seed_override_on_a_malformed_task_is_a_validation_error(tmp_path, capsys):
+    path = _write(tmp_path, "t.json", {"task": [1], "alpha": 2.0})
+    assert run_cli(["classify", "--config", path, "--seed", "3"]) == 2
+    assert "'task' must be one of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("asked, passed", [("0", 1), ("1", 1), ("-3", 1), ("1000000", None)])
+def test_cli_threads_are_capped_at_the_cpu_count(tmp_path, capsys, monkeypatch, asked, passed):
+    # run_task is replaced, so no thread starts whatever the request
+    import os
+
+    import bigmeasure.cli as cli_mod
+
+    seen = []
+
+    def record(cfg, threads=1):
+        seen.append(threads)
+        raise ValueError("recorded")
+
+    monkeypatch.setattr(cli_mod, "run_task", record)
+    path = _write(tmp_path, "s.json", _TASK_CONFIGS["simulate"])
+    assert run_cli(["simulate", "--config", path, "--threads", asked]) == 2
+    assert seen == [(os.cpu_count() or 1) if passed is None else passed]
+
+
 def test_cli_far_probe_is_a_clean_error(tmp_path, capsys):
     # |x| = 1e200 squares past the float range; the probe radius must not
     # (the suite turns numpy's overflow warning into an error)
@@ -528,7 +623,7 @@ _SWEEP_MC = {"task": "sweep", "alpha": 1.5, "dim": 3, "measure": {"family": "pow
 def test_cli_far_start_is_a_clean_error(tmp_path, capsys, cfg):
     # |x| = 1e200 squares past the float range: a collected validation error
     # before any path is walked, never an overflow warning and a gauge of 1
-    command = _COMMAND.get(cfg["task"], cfg["task"])
+    command = TASK_TABLE[cfg["task"]].commands[0]
     for x in ([1e200, 0.0, 0.0], 1e200):
         path = _write(tmp_path, "far.json", {**cfg, "x": x})
         assert run_cli([command, "--config", path]) == 2
