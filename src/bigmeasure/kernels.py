@@ -28,8 +28,9 @@ epsilon = alpha - 1) with 1 - z = (M - m)(M + m)/M^2 formed without
 cancellation. Its two terms grow like 1/epsilon and cancel near alpha = 1,
 so it is summed as one series whose k-th term is the difference of theirs
 divided by epsilon, by a recurrence free of that cancellation; at epsilon
-= 0 it is the logarithmic case, DLMF 15.8.10. Left to hyp2f1: alpha = 2
-(b = 0, the factor is 1) and dim <= alpha (a <= 0).
+= 0 it is the logarithmic case, DLMF 15.8.10. At alpha = 2 (b = 0) the
+factor is 1, exactly as hyp2f1 returns it, so no call is made; left to
+hyp2f1: dim <= alpha (a <= 0).
 """
 
 import functools
@@ -122,6 +123,9 @@ def shell_average_batch(rho: float, s, alpha: float, dim: int) -> np.ndarray:
             return s ** (alpha - dim)
     shape, s = s.shape, s.ravel()
     big = np.maximum(rho, s)
+    if alpha == 2.0:
+        # Newton's M^(2 - dim)
+        return (big ** (alpha - dim)).reshape(shape)
     gap = np.abs(s - rho) / big  # 1 - m/M, and 1 - z = gap (2 - gap)
     near = (gap < 0.1) & (alpha < min(dim, 2.0))
     val = np.empty_like(big)

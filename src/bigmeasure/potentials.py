@@ -5,29 +5,33 @@ with the *idealized* kernel (no normalizing constant; multiply by
 :func:`bigmeasure.kernels.green_constant` for Green-function expectations).
 Rotation invariance reduces everything to one radial integral against the
 shell-averaged kernel kbar(rho, s), a closed-form 2F1 (see
-:mod:`bigmeasure.kernels`). Every finite stretch of that integral goes
-through one vectorized panel rule, ``_panels``: Gauss-Legendre 16 on
-panels, all nodes of a round in one kernel call, bisecting a panel where
-its value and the sum over its halves disagree. The starting edges hold
-every break known in advance (0, the probe radius, the ball wall, window
-ends, gauge knots), and panels halve in width toward the kernel's kink
-|s - rho|^(alpha - 1), whose last sliver is summed in closed form from a
-fit of its singular and regular parts. A stretch the rule cannot bring
-within tol raises ValueError. The power weight's near field has geometric
-edges from its bulk out to the probe; the ball is taken in t up to halfway
-from the probe to its wall and in v = (R - t)^(1 - r) past that, where the
-wall singularity is gone; annulus windows take one panel each, and those
-next to the probe one ``_panels`` call between them. Infinite series tails
-use log-coordinate Gauss-Legendre panels and a midpoint Euler-Maclaurin
-closure.
+:mod:`bigmeasure.kernels`). Every integral goes through one vectorized
+panel rule, ``_panels``: Gauss-Legendre 16 on panels, all nodes of a round
+in one kernel call, bisecting a panel where its value and the sum over its
+halves disagree. The starting edges hold every break known in advance (0,
+the probe radius, the ball wall, window ends, gauge knots), and panels
+halve in width toward the kernel's kink |s - rho|^(alpha - 1), whose last
+sliver is summed in closed form from a fit of its singular and regular
+parts. A stretch the rule cannot bring within tol raises ValueError. The
+power weight's near field has geometric edges from its bulk out to the
+probe; the ball is taken in t up to halfway from the probe to its wall and
+in v = (R - t)^(1 - r) past that, where the wall singularity is gone;
+annulus windows take one panel each, and those next to the probe one
+``_panels`` call between them. Far fields run the same rule in u = log x,
+where power laws are gentle exponentials (``_log_integral``), out to a
+span past which the power-law remainder is added in closed form. A series
+sums its head and the indices within _KINK_PAD of the probe's index term
+by term, and the stretches before and after that span by the midpoint
+Euler-Maclaurin closure over such an integral.
 
 Divergence is decided analytically from the family tail exponents, never
 from partial sums looking large; ``divergent`` results carry a witness with
 the exponent and growing partial sums or integrals.
 
-``tol`` arguments are relative tolerances for the quadrature pieces. The
-Euler-Maclaurin closure adds an O(f''') error of its own; reported
-``abs_error`` values are estimates, not bounds.
+``tol`` arguments are relative tolerances for each ``_panels`` call. Every
+piece carries an error estimate (bisection differences, sliver-fit misses,
+2 % of each Euler-Maclaurin derivative correction, 1e-5 of each power-law
+remainder); ``abs_error`` is their sum, an estimate, not a bound.
 """
 
 from __future__ import annotations
@@ -175,7 +179,7 @@ def _panels(f, edges, kinks, tol, inside=None):
             steps = [30] * near.size
         for h, n in zip(near, steps):
             graded.append(c + h * 2.0 ** -np.arange(1.0, n + 1.0))
-    edges = np.unique(np.concatenate(graded))
+    edges = np.unique(np.concatenate(graded)) if len(graded) > 1 else edges
     lo, width = edges[:-1], np.diff(edges)
     keep = np.ones(lo.size, dtype=bool) if inside is None else inside(lo + 0.5 * width)
     ends = []
@@ -208,7 +212,7 @@ def _panels(f, edges, kinks, tol, inside=None):
     for _ in range(_MAX_ROUNDS):
         if not 0 < (n := lo.size) <= _MAX_OPEN:
             break
-        lo, width = np.concatenate([lo, lo + 0.5 * width]), np.tile(0.5 * width, 2)
+        lo, width = np.concatenate([lo, lo + 0.5 * width]), np.concatenate([0.5 * width] * 2)
         parts = _gl(f, lo, width)
         neval += 16 * parts.size
         if not np.isfinite(parts).all():
@@ -218,7 +222,8 @@ def _panels(f, edges, kinks, tol, inside=None):
         done = diff <= tol * abs(total + pair.sum())
         total += float(pair[done].sum())
         err += float(diff[done].sum())
-        lo, width, whole = (a[np.tile(~done, 2)] for a in (lo, width, parts))
+        again = np.concatenate([~done, ~done])
+        lo, width, whole = lo[again], width[again], parts[again]
     if lo.size or not (math.isfinite(total) and err <= 10.0 * max(1e-10, tol * abs(total))):
         raise ValueError(
             f"the panel rule missed tol={tol:g} on [{edges[0]:g}, {edges[-1]:g}]: "
@@ -232,36 +237,29 @@ def _fd(f, x, step=0.25):
     return float(hi - lo) / (2.0 * step)
 
 
-def _log_quad(f, a, b, step=0.5):
-    """Integral of f over [a, b], 0 < a <= b, in log coordinates.
+def _log_integral(f, a, b, tol, exponent=None, x_cap=None):
+    """(integral, abs_error, evaluations) of f over [a, b], 0 < a < b <= inf.
 
-    Gauss-Legendre panels of width <= step in u = log x, where power-law
-    integrands are gentle exponentials; each panel is then exact to near
-    machine precision, with no adaptive quadrature to fail.
+    ``_panels`` in u = log x, where power laws are gentle exponentials, from
+    starting edges at most 4 apart. For b = inf, f(x) ~ c x^exponent with
+    exponent < -1, the panels end at B = a exp(span), where the remainder
+    f(B) B / (-1 - exponent) is negligible or the power law holds closely,
+    and that remainder is added; ``x_cap`` bounds B where f's factors would
+    leave the normal float range.
     """
-    edges = np.linspace(math.log(a), math.log(b), max(1, math.ceil(math.log(b / a) / step)) + 1)
-    panel = _gl(lambda u: f(np.exp(u)) * np.exp(u), edges[:-1], np.diff(edges))
-    return float(panel.sum()), 1e-13 * float(np.abs(panel).sum()), 16 * panel.size
-
-
-def _tail_integral(f, a, exponent, tol, x_cap=None):
-    """Integral of f over [a, inf) for f(x) ~ c x^exponent, exponent < -1.
-
-    Integrates numerically out to B = a exp(span) and adds the analytic
-    remainder f(B) B / (-1 - exponent); the span is chosen so either the
-    remainder is negligible or the power law holds to high accuracy by B.
-    ``x_cap`` bounds B where f's factors would leave the float range.
-    """
-    if exponent >= -1.0:
-        raise ValueError("tail integral needs a decay exponent below -1")
-    rate = -1.0 - exponent
-    span = min(120.0, math.log(1e6 / tol) / rate)
-    if x_cap is not None and x_cap > a:
-        span = min(span, math.log(x_cap / a))
-    b = a * math.exp(span)
-    step = min(0.5, 6.0 / rate)
-    val, err, ne = _log_quad(f, a, b, step=step)
-    rest = _at(f, b) * b / rate
+    rest = 0.0
+    if math.isinf(b):
+        if exponent >= -1.0:
+            raise ValueError("tail integral needs a decay exponent below -1")
+        rate = -1.0 - exponent
+        span = min(120.0, math.log(1e6 / tol) / rate)
+        if x_cap is not None and x_cap > a:
+            span = min(span, math.log(x_cap / a))
+        b = a * math.exp(span)
+        rest = _at(f, b) * b / rate
+    lo, hi = math.log(a), math.log(b)
+    edges = np.linspace(lo, hi, math.ceil((hi - lo) / 4.0) + 1)
+    val, err, ne = _panels(lambda u: f(np.exp(u)) * np.exp(u), edges, [], tol)
     return val + rest, err + 1e-5 * abs(rest), ne
 
 
@@ -274,17 +272,11 @@ def _em_sum(f, lo, hi, tol, exponent=None, x_cap=None):
     out of the stretch. ``exponent`` is the analytic decay power of f,
     required when hi is infinite.
     """
-    a = lo + 0.5
-    der_a = _fd(f, a)
-    if math.isinf(hi):
-        val, err, ne = _tail_integral(f, a, exponent, tol, x_cap=x_cap)
-        corr = der_a / 24.0
-    else:
-        if hi <= lo:
-            return 0.0, 0.0, 0
-        b = hi + 0.5
-        val, err, ne = _log_quad(f, a, b)
-        corr = (der_a - _fd(f, b)) / 24.0
+    if hi <= lo:
+        return 0.0, 0.0, 0
+    a, b = lo + 0.5, hi + 0.5
+    val, err, ne = _log_integral(f, a, b, tol, exponent, x_cap)
+    corr = (_fd(f, a) - (0.0 if math.isinf(b) else _fd(f, b))) / 24.0
     return val + corr, err + 0.02 * abs(corr), ne
 
 
@@ -314,33 +306,15 @@ def _interval_batch(a, w, rho, integrand, tol, alpha):
     c = np.clip(rho, lo, hi)
     # a window beside rho but not holding it is graded toward its end nearest
     # rho, as for a kink of exponent 1 there
-    kinks = [(x, alpha - 1.0 if x == rho else 1.0, _SLIVER * x) for x in c]
-    kinks = kinks if alpha < 2.0 else []
+    kinks = [(x, alpha - 1.0 if x == rho else 1.0, _SLIVER * x) for x in c] if alpha < 2.0 else []
     held = lambda s: integrand(s) * count(s)
     v, err, _ = _panels(held, np.concatenate([lo, c, hi]), kinks, tol, lambda m: count(m) > 0)
     return total + v, err
 
 
-def _radius_cap(dim: int) -> float:
-    """Radius up to which the surface factor s^(dim-1) stays inside the float range."""
-    return 10.0 ** (300.0 / max(dim - 1, 3))
-
-
-def _tail_plan(head_n: int, x_rho: float):
-    """(extra direct span, EM stretches) so no stretch crosses the kink index."""
-    pad = _KINK_PAD
-    if x_rho > 1e12:
-        # the kink window is too far out to index in float64; its relative
-        # share of the tail is ~h(x_rho), negligible, but flag it
-        return None, [(head_n, math.inf)], True
-    if x_rho < head_n + pad:
-        if x_rho > head_n - pad:
-            ext = int(math.ceil(x_rho)) + pad
-            return (head_n, ext, True), [(ext, math.inf)], False
-        return None, [(head_n, math.inf)], False
-    m_lo = int(math.floor(x_rho)) - pad
-    m_hi = int(math.ceil(x_rho)) + pad
-    return (m_lo, m_hi, False), [(head_n, m_lo), (m_hi, math.inf)], False
+def _radius_cap(dim: int, alpha: float) -> float:
+    """Radius up to which s^(dim-1) and the kernel's s^(alpha-dim) stay normal floats."""
+    return 10.0 ** (300.0 / max(dim - min(alpha, 1.0), 3))
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +336,11 @@ def _power_weight_potential(mu, rho, model, gfun, g_tail, knots, tol):
     # past the last gauge knot the gauge is constant, so the integrand is
     # smooth there and the tail starts past every knot
     bulk = max(4.0, knots[-1] if knots is not None else 0.0)
-    cut, cap = max(2.0 * rho + 2.0, bulk), _radius_cap(d)
+    cut, cap = max(2.0 * rho + 2.0, bulk), _radius_cap(d, alpha)
     if not cut <= cap:
         raise ValueError(
             f"probe radius {rho:g} is too far out: the near field reaches {cut:g}, past "
-            f"radius {cap:g} where the surface factor leaves the float range in d={d}"
+            f"radius {cap:g} where s^(d-1) or the kernel leaves the float range in d={d}"
         )
     # geometric edges from the bulk out to the cut keep the weight near
     # |y| ~ 1 on panels of its own scale however far out the probe is
@@ -380,13 +354,13 @@ def _power_weight_potential(mu, rho, model, gfun, g_tail, knots, tol):
         marks = {}
         for upper in (1e2, 1e5, 1e8):
             if upper > cut:
-                v, _, _ = _log_quad(F, cut, upper)
+                v, _, _ = _log_integral(F, cut, upper, tol)
                 marks["%g" % upper] = near + v
         witness["partial_integrals"] = marks
         return PotentialResult(math.inf, True, math.inf, n1, near, witness)
     if gfun is not None and g_tail == 0.0:
         return PotentialResult(near, False, err1, n1, near, witness)
-    far, err2, n2 = _tail_integral(F, cut, tail_exp, tol, x_cap=cap)
+    far, err2, n2 = _log_integral(F, cut, math.inf, tol, tail_exp, cap)
     return PotentialResult(near + far, False, err1 + err2, n1 + n2, near, witness)
 
 
@@ -456,24 +430,29 @@ def _series_potential(mu, noun, block, f, rho, model, gfun, g_tail, knots, tol):
         # the gauge vanishes beyond its last knot and the head covers it
         return PotentialResult(value, False, err, terms, compact, witness)
 
-    x_cap = float(lead.index(_radius_cap(model.dim)))
-    span, stretches, capped = _tail_plan(head_n, float(lead.index(rho)))
-    if span is not None:
-        lo, hi, near_head = span
+    # the span summed term by term keeps the kernel's kink _KINK_PAD indices
+    # from either Euler-Maclaurin stretch. Past index 1e12 float64 cannot
+    # index it; its share of the tail is ~f(x_rho), negligible, but flagged
+    x_rho, x_cap = float(lead.index(rho)), float(lead.index(_radius_cap(model.dim, model.alpha)))
+    lo = hi = head_n
+    if x_rho <= 1e12:
+        lo = max(head_n, math.floor(x_rho) - _KINK_PAD)
+        hi = max(head_n, math.ceil(x_rho) + _KINK_PAD)
+    else:
+        err += 3.0 * abs(_at(f, 1e12))
+    if hi > lo:
         v, e, singular = block(np.arange(lo + 1, hi + 1, dtype=float))
         if singular:
             return probe_on_a_shell()
         value += v
         err += e
         terms += hi - lo
-        if near_head:
+        if x_rho < head_n + _KINK_PAD:
             compact += v
-    for lo, hi in stretches:
-        v, e, _ = _em_sum(f, lo, hi, tol, exponent, x_cap=x_cap)
+    for a, b in ((head_n, lo), (hi, math.inf)):
+        v, e, _ = _em_sum(f, a, b, tol, exponent, x_cap=x_cap)
         value += v
         err += e
-    if capped:
-        err += 3.0 * abs(_at(f, 1e12))
     return PotentialResult(value, False, err, terms, compact, witness)
 
 

@@ -18,33 +18,16 @@ with |X| >= a given radius.  The kernel walks a batch of paths as one
 (rows, steps, dim) array; gauge paths walk it one row at a time through
 one walker, _gauge_walk, and absorbed paths 32 rows at a time.
 
-Cost of a stable step.  At alpha = 1.5, d = 3, under a sphere-series
-weight (p = 1.5, r = 1, eps = 0.05) on 2e4-step paths, medians of six
-alternating runs on a shared 2-vCPU Xeon host, before -> after the in-place
-rewrite: Philox draws (a uniform, an exponential, three normals) 95 -> 92 ns,
-fixed by the bytes; Kanter's a(u) with its three sines 105 -> 73 ns; the
-sampler's scaling 31 -> 15 ns; the row norm 28 -> 5 ns; the shell weight
-89 -> 54 ns per radius; the whole step 423 -> 318 ns.  The sampler evaluates
-the same operations in the same order on arrays it owns, the norm sums
-columns in the order add.reduce adds a short row in, and the shell weight
-tests only the radii whose index interval can hold a shell; every output
-byte is unchanged.  Later the shell weight took one bin-table lookup per
-radius (see measures) in place of the two index inversions: 26-29 -> 6-12
-ns per radius on the radii of such walks (p = 1.5 and 3, eps = 0.05 and
-0.025; in-process medians on the same kind of host), with the same bytes.
-
-Absorbed step cost by stage.  On the absorbed functionals of the unit_ball
-bench (BoundaryPower r = 1 and 3 on the unit ball in d = 3, dt = 4e-4,
-1e-4 and 2.5e-5, t_cap = 40, 3000 and 1000 paths: 36.3 M steps inside
-the ball per pass) a used step went from 170 to 131 ns (medians of ten
-alternating bench runs per side on a shared 2-vCPU Xeon host) when paths
-started to walk 32 to a batch.  By stage, in ns per used step with timing
-wrappers on (medians of three alternating runs, before -> after): the
-Philox draws through sample_increment, steps drawn past an exit included,
-77 -> 82, which the bytes fix; new or rekeyed generators 10.3 -> 4.2; the
-cumsum 20.5 -> 14.5; the row norm 26 -> 13; the weight 11.8 -> 9.7;
-everything else (Python, copies, stop tests, start radii, block sums)
-41 -> 29.  The floor is the three normals of a step, about 60 ns.
+Same bits by construction.  The stable sampler works in place on arrays it
+owns, the row norm sums columns in the order add.reduce adds a short row
+in, and the shell weight tests only radii near a shell; each evaluates the
+same operations in the same order as the plain formula, so the same draws
+give the same bits.  Each sub-block takes the carry of the one before it
+into its first increment before its cumsum, and a Brownian path's normals
+are one stream however its steps are cut, so Brownian positions do not
+depend on how the draws are split into sub-blocks.  BENCH_13.json (the
+stable step) and BENCH_16.json (absorbed batches) hold the timings by
+stage.
 
 Excursion skip.  For Brownian motion in d = 3 and a BoundaryPower measure
 of radius R (weight 0 for |x| >= R), the gauge walker stops every time the

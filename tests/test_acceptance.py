@@ -11,6 +11,7 @@ and measurements live in the decisions ledger next to the repo.
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -269,8 +270,10 @@ def test_criterion_07_boundary_threshold_sanity():
     assert ok
 
 
-def test_criterion_08_determinism(tmp_path):
+def test_criterion_08_determinism(tmp_path, monkeypatch):
     """Identical (config, seed) gives byte-identical CSV at 1 and 8 threads."""
+    # the CLI caps --threads at the CPU count; let it see 8 CPUs on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     cfg = {
         "task": "simulate",
         "alpha": 2.0,

@@ -462,7 +462,9 @@ def test_recurrent_model_is_rejected():
 # repr of value, abs_error and compact_part, divergent, terms_used and the
 # witness JSON, recorded before the two routes shared one routine; re-recorded
 # (each value within 1e-15) when the 1 - z kernel form and the panel rule for
-# the windows near the probe came in. The cases
+# the windows near the probe came in, and again (each value within 2.1e-13,
+# each partial sum within 1.6e-15) when the Euler-Maclaurin stretches moved
+# onto the panel rule; FROZEN_SERIES_MPMATH anchors three of them. The cases
 # cover parametric and tabulated input, tail rules, truncated tables,
 # divergence marks, probes inside the direct head, near its end and past it,
 # a probe index beyond 1e12, gauge tables with tail value 0 and above 0, and
@@ -474,22 +476,22 @@ def _gauge_table(tail):
 FROZEN_SERIES = {
     "annulus-parametric-head": (
         lambda: riesz_potential(AnnulusSeries.parametric(1.0, 3.0, 0.0), 2.5, KernelModel(1.5, 3)),
-        ("28.404255958280228", "4.1980190110900536e-07", False, 67, "25.345111807121583",
+        ("28.404255958280228", "4.1980159615209356e-07", False, 67, "25.345111807121583",
          '{"tail_exponent": -1.5, "threshold": -1.0}'),
     ),
     "annulus-parametric-near-head": (
         lambda: riesz_potential(AnnulusSeries.parametric(1.0, 3.0, 0.0), 100.3, KernelModel(1.5, 3)),
-        ("3.954870074905246", "5.108334010022964e-08", False, 165, "1.9814104872503993",
+        ("3.954870074905246", "5.1084736488614184e-08", False, 165, "1.9814104872503993",
          '{"tail_exponent": -1.5, "threshold": -1.0}'),
     ),
     "annulus-parametric-past-pad": (
         lambda: riesz_potential(AnnulusSeries.parametric(1.0, 3.0, 0.0), 500.2, KernelModel(1.5, 5)),
-        ("2.9575790273222142", "1.9331360849625644e-08", False, 193, "0.0008426003570548234",
+        ("2.957579027321602", "2.0146112562325305e-08", False, 193, "0.0008426003570548234",
          '{"tail_exponent": -1.5, "threshold": -1.0}'),
     ),
     "annulus-table-tail": (
         lambda: riesz_potential(AnnulusSeries(Seq.table([1.0, 2.5, 4.0, 7.0], 1.5), Seq.table([0.5, 0.25], -4.0), 0.5), 3.0, KernelModel(1.8, 3)),
-        ("27.50989463724329", "1.990038221826239e-07", False, 66, "27.019303529435707",
+        ("27.50989463724329", "1.9900377345919347e-07", False, 66, "27.019303529435707",
          '{"tail_exponent": -2.05, "threshold": -1.0}'),
     ),
     "annulus-truncated": (
@@ -500,16 +502,16 @@ FROZEN_SERIES = {
     "annulus-table-tail-divergent": (
         lambda: riesz_potential(AnnulusSeries(Seq.table([1.0, 2.5, 4.0, 7.0], 1.5), Seq.table([0.5, 0.25], -2.0), 0.5), 3.0, KernelModel(1.8, 3)),
         ("inf", "inf", True, 64, "568.0196250428977",
-         '{"tail_exponent": -0.04999999999999982, "threshold": -1.0, "partial_sums": {"1000": 7861.645586252874, "1e+06": 5573086.955672695}}'),
+         '{"tail_exponent": -0.04999999999999982, "threshold": -1.0, "partial_sums": {"1000": 7861.645586252873, "1e+06": 5573086.955672691}}'),
     ),
     "annulus-divergent": (
         lambda: riesz_potential(AnnulusSeries.parametric(1.0, 1.2, 0.0), 1.7, KernelModel(1.5, 3)),
         ("inf", "inf", True, 64, "2193.652095133253",
-         '{"tail_exponent": 0.30000000000000004, "threshold": -1.0, "partial_sums": {"1000": 76865.97491788263, "1e+06": 609911555.7309173}}'),
+         '{"tail_exponent": 0.30000000000000004, "threshold": -1.0, "partial_sums": {"1000": 76865.97491788262, "1e+06": 609911555.7309164}}'),
     ),
     "annulus-past-1e12": (
         lambda: riesz_potential(AnnulusSeries.parametric(0.5, 3.0, 2.0), 1e7, KernelModel(1.5, 3)),
-        ("5.330849425811055e-10", "3.8417297474234984e-19", False, 64, "5.325735402293167e-10",
+        ("5.330849425811055e-10", "3.8417292430918492e-19", False, 64, "5.325735402293167e-10",
          '{"tail_exponent": -3.25, "threshold": -1.0}'),
     ),
     "annulus-gauge-tail-zero": (
@@ -519,27 +521,27 @@ FROZEN_SERIES = {
     ),
     "annulus-gauge-tail-positive": (
         lambda: gauge_weighted_potential(AnnulusSeries.parametric(1.0, 3.0, 0.0), _gauge_table(0.25), 2.0, KernelModel(1.5, 3)),
-        ("18.96381844677329", "3.7839801805926755e-08", False, 101, "18.340155761260007",
+        ("18.96381844677329", "3.7839739774079435e-08", False, 101, "18.340155761260007",
          '{"tail_exponent": -1.5, "threshold": -1.0}'),
     ),
     "sphere-parametric-head": (
         lambda: riesz_potential(SphereSeries.parametric(1.0, 2.0), 2.5, KernelModel(1.5, 3)),
-        ("23.138205542660952", "4.1980087791794177e-07", False, 67, "20.07906174657202",
+        ("23.138205542660952", "4.198005720104344e-07", False, 67, "20.07906174657202",
          '{"tail_exponent": -1.5, "threshold": -1.0}'),
     ),
     "sphere-parametric-near-head": (
         lambda: riesz_potential(SphereSeries.parametric(1.0, 2.0), 100.3, KernelModel(1.5, 3)),
-        ("3.935588197120455", "5.108333541502063e-08", False, 165, "1.9621286229980202",
+        ("3.9355881971204543", "5.108473174009293e-08", False, 165, "1.9621286229980202",
          '{"tail_exponent": -1.5, "threshold": -1.0}'),
     ),
     "sphere-parametric-past-pad": (
         lambda: riesz_potential(SphereSeries.parametric(1.0, 2.0), 500.2, KernelModel(1.5, 5)),
-        ("2.9575788631446276", "1.9331357074974163e-08", False, 193, "0.0008424793841773903",
+        ("2.9575788631440156", "2.014610956417949e-08", False, 193, "0.0008424793841773903",
          '{"tail_exponent": -1.5, "threshold": -1.0}'),
     ),
     "sphere-table-tail": (
         lambda: riesz_potential(SphereSeries(Seq.table([1.0, 1.5, 3.0], 3.0), 1.0), 2.0, KernelModel(1.5, 3)),
-        ("59.93971505147209", "1.306761341255281e-06", False, 66, "50.6938569753061",
+        ("59.93971505147209", "1.306760417794114e-06", False, 66, "50.6938569753061",
          '{"tail_exponent": -1.5, "threshold": -1.0}'),
     ),
     "sphere-table-tail-divergent": (
@@ -555,11 +557,11 @@ FROZEN_SERIES = {
     "sphere-divergent": (
         lambda: riesz_potential(SphereSeries.parametric(1.0, 0.2), 2.0, KernelModel(1.5, 3)),
         ("inf", "inf", True, 64, "2175.5330379346387",
-         '{"tail_exponent": 0.3, "threshold": -1.0, "partial_sums": {"1000": 76832.94476931282, "1e+06": 609911460.3377174}}'),
+         '{"tail_exponent": 0.3, "threshold": -1.0, "partial_sums": {"1000": 76832.9447693128, "1e+06": 609911460.3377166}}'),
     ),
     "sphere-past-1e12": (
         lambda: riesz_potential(SphereSeries.parametric(0.5, 6.0), 1e7, KernelModel(1.5, 3)),
-        ("6.536697071195866e-10", "2.4682698810032878e-18", False, 64, "6.475088455690822e-10",
+        ("6.536697071195866e-10", "2.4682692665211873e-18", False, 64, "6.475088455690822e-10",
          '{"tail_exponent": -2.75, "threshold": -1.0}'),
     ),
     "sphere-gauge-tail-zero": (
@@ -569,7 +571,7 @@ FROZEN_SERIES = {
     ),
     "sphere-gauge-tail-positive": (
         lambda: gauge_weighted_potential(SphereSeries.parametric(1.0, 2.0), _gauge_table(0.25), 2.0, KernelModel(1.5, 3)),
-        ("14.74483489049339", "3.783977370401815e-08", False, 101, "14.121172226277318",
+        ("14.74483489049339", "3.783971157859267e-08", False, 101, "14.121172226277318",
          '{"tail_exponent": -1.5, "threshold": -1.0}'),
     ),
     "sphere-shell-at-probe-head": (
@@ -592,3 +594,56 @@ def test_series_potentials_are_frozen(case):
     got = (repr(r.value), repr(r.abs_error), r.divergent, r.terms_used, repr(r.compact_part),
            json.dumps(r.witness))
     assert got == want
+
+
+# mpmath values of three frozen cases: a direct 20-digit sum over n <= N of
+# the shells (the closed-form d = 3 kernel, or hyp2f1 in d = 5) or of the
+# exact window integrals, plus the kernel's expansion in (rho/s)^2 past N
+# summed with Hurwitz zeta, offline; doubling N changed no digit.
+FROZEN_SERIES_MPMATH = {
+    "sphere-parametric-head": 23.138205544257535259,
+    "sphere-parametric-past-pad": 2.9575788631525918394,
+    "annulus-parametric-head": 28.404255959876828031,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_SERIES_MPMATH))
+def test_frozen_series_within_their_error_of_mpmath(case):
+    r = FROZEN_SERIES[case][0]()
+    assert abs(r.value - FROZEN_SERIES_MPMATH[case]) <= r.abs_error
+
+
+# Far probes, where each Euler-Maclaurin stretch ends _KINK_PAD indices from
+# the kernel's kink |s - rho|^(alpha - 1): (measure, alpha, dim, rho, U). A
+# fixed log-panel rule there was off by up to 1.1e-2 relative while reporting
+# an error near 1e-15 relative. U is the sum over every shell or window n <= N,
+# N^p >= 20 rho, plus the kernel's expansion in (rho/s)^2 past N summed with
+# Hurwitz zeta; doubling N changed nothing. The d = 3 values are 20-digit
+# mpmath sums of the closed-form kernel and exact window integrals, offline;
+# the d = 5 value is a float64 fsum of 8-point Gauss-Legendre windows of
+# shell_average_batch, within 1e-14 of an independent float64 run. The second
+# case is a control that the fixed rule got right.
+FAR_SERIES_PROBES = [
+    pytest.param(SphereSeries.parametric(1.5, 1.5), 0.9, 3, 1e7, 6.1527810491242773421e-06, id="sphere"),
+    pytest.param(SphereSeries.parametric(1.5, 1.5), 1.5, 3, 1e5, 0.72200542959322107346, id="control"),
+    pytest.param(AnnulusSeries.parametric(1.25, 2.5, 1.0), 0.6, 5, 1e7, 2.8647403406333855e-10, id="annulus-d5"),
+    pytest.param(AnnulusSeries.parametric(1.0, 3.0, 0.0), 1.5, 3, 10000.5, 0.39478737427084924593, id="annulus"),
+]
+
+
+@pytest.mark.parametrize("mu, alpha, dim, rho, want", FAR_SERIES_PROBES)
+def test_far_series_probe_within_its_error(mu, alpha, dim, rho, want):
+    res = riesz_potential(mu, rho, KernelModel(alpha, dim))
+    assert abs(res.value - want) <= res.abs_error
+
+
+def test_slow_tail_stops_before_the_kernel_underflows():
+    # tail exponent -1.025: the tail integral runs out to the radius cap,
+    # which must keep the kernel's s^(alpha - d) a normal float too. A cap
+    # set by s^(d - 1) alone reached s ~ 1e75, where the kernel is about
+    # 1e-322, and summed that noise into a value 1.4 % low. U from 30-digit
+    # mpmath, offline: windows n <= 70 by quadrature, the rest by the
+    # kernel's expansion in (rho/s)^2 with Hurwitz zeta; doubling N changed
+    # no digit.
+    res = riesz_potential(AnnulusSeries.parametric(2.75, 2.4, 0.2), 4000.0, KernelModel(0.7, 5))
+    assert abs(res.value - 985.82908047545352048) <= res.abs_error
